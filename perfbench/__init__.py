@@ -1,0 +1,5 @@
+"""The repository benchmark: four seeded workloads over both clocks.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
