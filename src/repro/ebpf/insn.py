@@ -58,8 +58,21 @@ class Insn:
 
 
 def encode_program(insns: list[Insn]) -> bytes:
-    """Serialize a program to its flat 8-bytes-per-insn image."""
-    return b"".join(insn.encode() for insn in insns)
+    """Serialize a program to its flat 8-bytes-per-insn image.
+
+    Packs each instruction inline, exactly as :meth:`Insn.encode` does:
+    the image is rebuilt on every deploy, so no per-insn method call.
+    """
+    pack = _INSN.pack
+    return b"".join([
+        pack(
+            insn.opcode,
+            (insn.src << 4) | insn.dst,
+            insn.off,
+            insn.imm if insn.imm < 2**31 else insn.imm - 2**32,
+        )
+        for insn in insns
+    ])
 
 
 def decode_program(data: bytes) -> list[Insn]:

@@ -46,6 +46,12 @@ _SLOT_BYTES = 10
 
 #: Placeholder operand emitted for every unresolved external reference.
 PLACEHOLDER = 0xDEAD_BEEF_DEAD_BEEF
+_PLACEHOLDER_BYTES = PLACEHOLDER.to_bytes(8, "little")
+#: ``_BYTE[n] == bytes((n,))``, without building a tuple per slot.
+_BYTE = [bytes((n,)) for n in range(256)]
+#: ``opcode & _CALL_MASK == _CALL``: a helper call (class JMP, op CALL).
+_CALL_MASK = op.CLASS_MASK | op.OP_MASK
+_CALL = op.BPF_JMP | op.BPF_CALL
 
 _ARCH_PREFIX = {
     "x86_64": (0x9A, 0x9B),  # (insn slot, operand slot)
@@ -126,54 +132,49 @@ def jit_compile(program: BpfProgram, arch: str = "x86_64") -> JitBinary:
     except KeyError:
         raise JitError(f"unsupported target architecture {arch!r}") from None
 
+    image = program.image()
     slots: list[bytes] = []
     relocations: list[Relocation] = []
     symbols: dict[str, list[int]] = {}
 
     def emit(prefix: int, payload: bytes) -> int:
         """Append one slot; returns the byte offset of its payload."""
-        if len(payload) != 8:
-            raise JitError("slot payload must be 8 bytes")
         offset = _HEADER.size + len(slots) * _SLOT_BYTES + 1
-        checksum = (prefix + sum(payload)) & 0xFF
-        slots.append(bytes([prefix]) + payload + bytes([checksum]))
+        slots.append(_BYTE[prefix] + payload + _BYTE[(prefix + sum(payload)) & 0xFF])
         return offset
 
     def emit_reloc(kind: RelocKind, symbol: str) -> None:
-        offset = emit(operand_prefix, PLACEHOLDER.to_bytes(8, "little"))
+        offset = emit(operand_prefix, _PLACEHOLDER_BYTES)
         relocations.append(Relocation(offset=offset, kind=kind, symbol=symbol))
         symbols.setdefault(symbol, []).append(offset)
 
+    # Every instruction slot's payload is an 8-byte slice of the image.
     index = 0
     insns = program.insns
     while index < len(insns):
-        insn = insns[index]
-        if insn.opcode == op.LDDW:
+        start = index * 8
+        payload = image[start : start + 8]
+        emit(insn_prefix, payload)
+        opcode = payload[0]
+        if opcode == op.LDDW:
             if index + 1 >= len(insns):
                 raise JitError("truncated LDDW pair")
+            insn = insns[index]
             if insn.src == op.PSEUDO_MAP_FD:
                 slot_index = insn.imm
                 if slot_index >= len(program.map_names):
                     raise JitError(f"map slot {slot_index} out of range")
-                emit(insn_prefix, insn.encode())
                 emit_reloc(RelocKind.MAP, program.map_names[slot_index])
             else:
-                emit(insn_prefix, insn.encode())
-                emit(insn_prefix, insns[index + 1].encode())
+                emit(insn_prefix, image[start + 8 : start + 16])
             index += 2
             continue
-        if (
-            op.insn_class(insn.opcode) == op.BPF_JMP
-            and op.alu_op(insn.opcode) == op.BPF_CALL
-        ):
-            helper = helper_by_id(insn.imm)
+        if opcode & _CALL_MASK == _CALL:
+            helper_id = insns[index].imm
+            helper = helper_by_id(helper_id)
             if helper is None:
-                raise JitError(f"call to unknown helper id {insn.imm}")
-            emit(insn_prefix, insn.encode())
+                raise JitError(f"call to unknown helper id {helper_id}")
             emit_reloc(RelocKind.HELPER, helper.name)
-            index += 1
-            continue
-        emit(insn_prefix, insn.encode())
         index += 1
 
     header = _HEADER.pack(MAGIC, VERSION, _arch_id(arch), len(slots))

@@ -19,7 +19,7 @@ to the host CPU via :func:`repro.params.verify_cost_us`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import VerifierError
@@ -43,39 +43,73 @@ class RegType(enum.Enum):
     NULL = "null"
 
 
-@dataclass(frozen=True)
-class Reg:
-    """Abstract state of one register."""
-
-    type: RegType = RegType.UNINIT
-    #: Byte offset for stack/map-value pointers.
-    off: int = 0
-    #: Map slot index for map pointers.
-    map_slot: int = -1
-
-    @classmethod
-    def scalar(cls) -> "Reg":
-        return cls(type=RegType.SCALAR)
+# The members as module constants: ``RegType.X`` is an enum attribute
+# lookup, ~100 ns each on CPython 3.11, and the verifier's hot path
+# makes several per instruction.
+UNINIT = RegType.UNINIT
+SCALAR = RegType.SCALAR
+PTR_CTX = RegType.PTR_CTX
+PTR_STACK = RegType.PTR_STACK
+CONST_PTR_MAP = RegType.CONST_PTR_MAP
+PTR_MAP_VALUE = RegType.PTR_MAP_VALUE
+PTR_MAP_VALUE_OR_NULL = RegType.PTR_MAP_VALUE_OR_NULL
+NULL = RegType.NULL
 
 
-_SCALAR = Reg.scalar()
-_UNINIT = Reg()
+class _Reg:
+    """Abstract state of one register.
+
+    Registers are interned per verification (:meth:`_Verifier._reg`):
+    equal ``(type, off, map_slot)`` values are one object, so states
+    hash and compare registers by identity, in C.
+    """
+
+    __slots__ = ("type", "off", "map_slot")
+
+    def __init__(self, type: RegType, off: int = 0, map_slot: int = -1):
+        self.type = type
+        #: Byte offset for stack/map-value pointers.
+        self.off = off
+        #: Map slot index for map pointers.
+        self.map_slot = map_slot
 
 
-@dataclass(frozen=True)
-class _State:
-    """Abstract machine state at one program point."""
+_UNINIT = _Reg(UNINIT)
+_SCALAR = _Reg(SCALAR)
+_CTX = _Reg(PTR_CTX)
+_FRAME = _Reg(PTR_STACK)
+_NULL = _Reg(NULL)
+#: Offset-free registers every verification shares.  Each interning
+#: table starts from them, so a value rebuilt from parts (fp - 8 + 8)
+#: is still the same object.
+_SHARED = (_UNINIT, _SCALAR, _CTX, _FRAME, _NULL)
+#: R1-R5 after a helper call (caller-saved).
+_CLOBBERED = (_UNINIT,) * 5
 
-    regs: tuple[Reg, ...]
-    #: Sorted tuple of initialized stack byte offsets (negative ints).
-    stack_init: tuple[int, ...]
-    #: Spilled registers: ((slot_off, Reg), ...) for 8-byte aligned slots.
-    spills: tuple[tuple[int, Reg], ...]
+#: Abstract machine state at one program point, a plain tuple
+#: ``(regs, stack_init, spills)``: ``regs`` holds 11 interned
+#: registers; ``stack_init`` is a bitmask of initialised stack bytes,
+#: bit ``byte + STACK_SIZE`` for byte offset ``byte`` (negative);
+#: ``spills`` is the sorted ``((slot_off, reg), ...)`` of registers
+#: spilled to 8-byte aligned slots.
+_State = tuple
 
-    def with_reg(self, index: int, reg: Reg) -> "_State":
-        regs = list(self.regs)
-        regs[index] = reg
-        return replace(self, regs=tuple(regs))
+
+def _with_reg(state: _State, index: int, reg: _Reg) -> _State:
+    regs = state[0]
+    return (regs[:index] + (reg,) + regs[index + 1 :], state[1], state[2])
+
+
+def _stack_bits(slot: int, size: int) -> int:
+    return ((1 << size) - 1) << (slot + op.STACK_SIZE)
+
+
+def _first_uninit(stack_init: int, slot: int, size: int) -> Optional[int]:
+    """Lowest byte of ``[slot, slot + size)`` not yet initialised."""
+    for byte in range(slot, slot + size):
+        if not stack_init >> (byte + op.STACK_SIZE) & 1:
+            return byte
+    return None
 
 
 @dataclass
@@ -114,6 +148,18 @@ class _Verifier:
         self.helpers_used: set[str] = set()
         self._seen: dict[int, set[_State]] = {}
         self._reached: set[int] = set()
+        #: (type, off, map_slot) -> the one register with that value.
+        self._interned: dict[tuple[RegType, int, int], _Reg] = {
+            (reg.type, reg.off, reg.map_slot): reg for reg in _SHARED
+        }
+
+    def _reg(self, type: RegType, off: int = 0, map_slot: int = -1) -> _Reg:
+        """The interned register for ``(type, off, map_slot)``."""
+        key = (type, off, map_slot)
+        reg = self._interned.get(key)
+        if reg is None:
+            reg = self._interned[key] = _Reg(type, off, map_slot)
+        return reg
 
     # -- entry -----------------------------------------------------------
 
@@ -124,21 +170,31 @@ class _Verifier:
             raise VerifierError(f"program too large: {len(self.insns)} insns")
         self._check_lddw_pairing()
         regs = [_UNINIT] * 11
-        regs[op.R1] = Reg(type=RegType.PTR_CTX)
-        regs[op.R10] = Reg(type=RegType.PTR_STACK, off=0)
-        initial = _State(regs=tuple(regs), stack_init=(), spills=())
+        regs[op.R1] = _CTX
+        regs[op.R10] = _FRAME
+        initial: _State = (tuple(regs), 0, ())
         stack: list[tuple[int, _State]] = [(0, initial)]
+        seen = self._seen
+        visited = peak = 0
         while stack:
-            self.stats.peak_queue = max(self.stats.peak_queue, len(stack))
+            if len(stack) > peak:
+                peak = len(stack)
             pc, state = stack.pop()
-            if state in self._seen.setdefault(pc, set()):
-                continue
-            self._seen[pc].add(state)
-            self.stats.states_visited += 1
-            if self.stats.states_visited > MAX_STATES:
+            states = seen.get(pc)
+            if states is None:
+                seen[pc] = {state}
+            else:
+                # One hash per visit: the add is the membership test.
+                before = len(states)
+                states.add(state)
+                if len(states) == before:
+                    continue
+            visited += 1
+            if visited > MAX_STATES:
                 raise VerifierError("BPF program is too large (state budget)")
-            for successor in self._step(pc, state):
-                stack.append(successor)
+            stack.extend(self._step(pc, state))
+        self.stats.states_visited = visited
+        self.stats.peak_queue = peak
         self._check_unreachable()
         self.stats.helpers_called = tuple(sorted(self.helpers_used))
         return self.stats
@@ -188,9 +244,9 @@ class _Verifier:
 
     # -- ALU ---------------------------------------------------------------
 
-    def _read_reg(self, state: _State, index: int, pc: int) -> Reg:
-        reg = state.regs[index]
-        if reg.type is RegType.UNINIT:
+    def _read_reg(self, state: _State, index: int, pc: int) -> _Reg:
+        reg = state[0][index]
+        if reg.type is UNINIT:
             raise VerifierError(f"R{index} !read_ok at insn {pc}")
         return reg
 
@@ -203,26 +259,26 @@ class _Verifier:
         if operation == op.BPF_MOV:
             if use_reg:
                 src = self._read_reg(state, insn.src, pc)
-                if cls == op.BPF_ALU and src.type is not RegType.SCALAR:
+                if cls == op.BPF_ALU and src.type is not SCALAR:
                     # 32-bit mov truncates pointers into scalars.
                     src = _SCALAR
-                return state.with_reg(insn.dst, src)
-            return state.with_reg(insn.dst, _SCALAR)
+                return _with_reg(state, insn.dst, src)
+            return _with_reg(state, insn.dst, _SCALAR)
 
         if operation == op.BPF_NEG:
             dst = self._read_reg(state, insn.dst, pc)
-            if dst.type is not RegType.SCALAR:
+            if dst.type is not SCALAR:
                 raise VerifierError(f"NEG on pointer R{insn.dst} at {pc}")
             return state
 
         if operation == op.BPF_END:
             dst = self._read_reg(state, insn.dst, pc)
-            if dst.type is not RegType.SCALAR:
+            if dst.type is not SCALAR:
                 raise VerifierError(f"byte swap on pointer at {pc}")
             return state
 
         dst = self._read_reg(state, insn.dst, pc)
-        src_type = RegType.SCALAR
+        src_type = SCALAR
         if use_reg:
             src = self._read_reg(state, insn.src, pc)
             src_type = src.type
@@ -235,7 +291,7 @@ class _Verifier:
                 raise VerifierError(f"invalid shift {insn.imm} at {pc}")
 
         # Pointer arithmetic: only +/- constant on stack/map-value ptrs.
-        if dst.type in (RegType.PTR_STACK, RegType.PTR_MAP_VALUE):
+        if dst.type in (PTR_STACK, PTR_MAP_VALUE):
             if cls != op.BPF_ALU64 or use_reg or operation not in (
                 op.BPF_ADD,
                 op.BPF_SUB,
@@ -244,19 +300,21 @@ class _Verifier:
                     f"invalid pointer arithmetic on R{insn.dst} at {pc}"
                 )
             delta = insn.imm if operation == op.BPF_ADD else -insn.imm
-            return state.with_reg(insn.dst, replace(dst, off=dst.off + delta))
-        if dst.type is not RegType.SCALAR:
+            return _with_reg(
+                state, insn.dst, self._reg(dst.type, dst.off + delta, dst.map_slot)
+            )
+        if dst.type is not SCALAR:
             raise VerifierError(
                 f"arithmetic on {dst.type.value} pointer R{insn.dst} at {pc}"
             )
-        if src_type is not RegType.SCALAR:
+        if src_type is not SCALAR:
             raise VerifierError(f"pointer used as scalar operand at {pc}")
-        return state.with_reg(insn.dst, _SCALAR)
+        return _with_reg(state, insn.dst, _SCALAR)
 
     # -- memory ------------------------------------------------------------
 
     def _check_stack_access(
-        self, pc: int, reg: Reg, off: int, size: int
+        self, pc: int, reg: _Reg, off: int, size: int
     ) -> int:
         slot = reg.off + off
         if slot >= 0 or slot < -op.STACK_SIZE or slot + size > 0:
@@ -271,38 +329,39 @@ class _Verifier:
                 raise VerifierError(
                     f"LDDW references unknown map slot {insn.imm} at {pc}"
                 )
-            reg = Reg(type=RegType.CONST_PTR_MAP, map_slot=insn.imm)
+            reg = self._reg(CONST_PTR_MAP, map_slot=insn.imm)
         elif insn.src == 0:
             reg = _SCALAR
         else:
             raise VerifierError(f"unsupported LDDW src {insn.src} at {pc}")
         self._reached.add(pc + 1)
-        return [(pc + 2, state.with_reg(insn.dst, reg))]
+        return [(pc + 2, _with_reg(state, insn.dst, reg))]
 
     def _do_ldx(self, pc: int, insn: Insn, state: _State) -> _State:
         if (insn.opcode & op.MODE_MASK) != op.BPF_MEM:
             raise VerifierError(f"unsupported load mode at {pc}")
         size = op.SIZE_BYTES[insn.opcode & op.SIZE_MASK]
         base = self._read_reg(state, insn.src, pc)
-        if base.type is RegType.PTR_CTX:
+        if base.type is PTR_CTX:
             addr = base.off + insn.off
             if addr < 0 or addr + size > self.ctx_size:
                 raise VerifierError(
                     f"ctx access [{addr}, {addr + size}) out of bounds at {pc}"
                 )
-            return state.with_reg(insn.dst, _SCALAR)
-        if base.type is RegType.PTR_STACK:
+            return _with_reg(state, insn.dst, _SCALAR)
+        if base.type is PTR_STACK:
             slot = self._check_stack_access(pc, base, insn.off, size)
-            spills = dict(state.spills)
-            if size == 8 and slot % 8 == 0 and slot in spills:
-                return state.with_reg(insn.dst, spills[slot])
-            for byte in range(slot, slot + size):
-                if byte not in state.stack_init:
-                    raise VerifierError(
-                        f"read of uninitialized stack byte {byte} at {pc}"
-                    )
-            return state.with_reg(insn.dst, _SCALAR)
-        if base.type is RegType.PTR_MAP_VALUE:
+            if size == 8 and slot % 8 == 0:
+                spilled = dict(state[2]).get(slot)
+                if spilled is not None:
+                    return _with_reg(state, insn.dst, spilled)
+            byte = _first_uninit(state[1], slot, size)
+            if byte is not None:
+                raise VerifierError(
+                    f"read of uninitialized stack byte {byte} at {pc}"
+                )
+            return _with_reg(state, insn.dst, _SCALAR)
+        if base.type is PTR_MAP_VALUE:
             geometry = self.maps[base.map_slot]
             addr = base.off + insn.off
             if addr < 0 or addr + size > geometry.value_size:
@@ -310,8 +369,8 @@ class _Verifier:
                     f"map value access [{addr}, {addr + size}) "
                     f"outside value_size={geometry.value_size} at {pc}"
                 )
-            return state.with_reg(insn.dst, _SCALAR)
-        if base.type is RegType.PTR_MAP_VALUE_OR_NULL:
+            return _with_reg(state, insn.dst, _SCALAR)
+        if base.type is PTR_MAP_VALUE_OR_NULL:
             raise VerifierError(
                 f"R{insn.src} possibly NULL, deref without check at {pc}"
             )
@@ -328,33 +387,31 @@ class _Verifier:
             value = self._read_reg(state, insn.src, pc)
         else:
             value = _SCALAR
-        if base.type is RegType.PTR_STACK:
+        if base.type is PTR_STACK:
             slot = self._check_stack_access(pc, base, insn.off, size)
-            init = set(state.stack_init)
-            init.update(range(slot, slot + size))
-            spills = dict(state.spills)
-            if size == 8 and slot % 8 == 0 and value.type is not RegType.SCALAR:
+            spills = dict(state[2])
+            if size == 8 and slot % 8 == 0 and value.type is not SCALAR:
                 spills[slot] = value
             else:
-                if value.type is not RegType.SCALAR:
+                if value.type is not SCALAR:
                     raise VerifierError(f"partial pointer spill at {pc}")
                 spills.pop(slot - slot % 8, None)
-            return replace(
-                state,
-                stack_init=tuple(sorted(init)),
-                spills=tuple(sorted(spills.items())),
+            return (
+                state[0],
+                state[1] | _stack_bits(slot, size),
+                tuple(sorted(spills.items())),
             )
-        if base.type is RegType.PTR_MAP_VALUE:
-            if value.type is not RegType.SCALAR:
+        if base.type is PTR_MAP_VALUE:
+            if value.type is not SCALAR:
                 raise VerifierError(f"storing pointer into map value at {pc}")
             geometry = self.maps[base.map_slot]
             addr = base.off + insn.off
             if addr < 0 or addr + size > geometry.value_size:
                 raise VerifierError(f"map value store out of bounds at {pc}")
             return state
-        if base.type is RegType.PTR_CTX:
+        if base.type is PTR_CTX:
             raise VerifierError(f"ctx is read-only for this program type ({pc})")
-        if base.type is RegType.PTR_MAP_VALUE_OR_NULL:
+        if base.type is PTR_MAP_VALUE_OR_NULL:
             raise VerifierError(f"store via possibly-NULL pointer at {pc}")
         raise VerifierError(f"store to non-pointer R{insn.dst} at {pc}")
 
@@ -363,8 +420,8 @@ class _Verifier:
     def _do_jmp(self, pc: int, insn: Insn, state: _State):
         operation = op.alu_op(insn.opcode)
         if operation == op.BPF_EXIT:
-            reg0 = state.regs[op.R0]
-            if reg0.type is RegType.UNINIT:
+            reg0 = state[0][op.R0]
+            if reg0.type is UNINIT:
                 raise VerifierError(f"R0 !read_ok at exit ({pc})")
             return []
         if operation == op.BPF_CALL:
@@ -384,24 +441,24 @@ class _Verifier:
 
         taken, fallthrough = state, state
         null_check = (
-            dst.type is RegType.PTR_MAP_VALUE_OR_NULL
+            dst.type is PTR_MAP_VALUE_OR_NULL
             and not use_reg
             and insn.imm == 0
             and operation in (op.BPF_JEQ, op.BPF_JNE)
         )
         if null_check:
-            as_value = state.with_reg(
-                insn.dst, Reg(type=RegType.PTR_MAP_VALUE, map_slot=dst.map_slot)
+            as_value = _with_reg(
+                state, insn.dst, self._reg(PTR_MAP_VALUE, map_slot=dst.map_slot)
             )
-            as_null = state.with_reg(insn.dst, Reg(type=RegType.NULL))
+            as_null = _with_reg(state, insn.dst, _NULL)
             if operation == op.BPF_JEQ:
                 taken, fallthrough = as_null, as_value
             else:
                 taken, fallthrough = as_value, as_null
         elif dst.type not in (
-            RegType.SCALAR,
-            RegType.NULL,
-            RegType.PTR_MAP_VALUE_OR_NULL,
+            SCALAR,
+            NULL,
+            PTR_MAP_VALUE_OR_NULL,
         ):
             raise VerifierError(
                 f"comparison on {dst.type.value} pointer R{insn.dst} at {pc}"
@@ -422,20 +479,20 @@ class _Verifier:
         key_size_hint: Optional[int] = None
         value_size_hint: Optional[int] = None
         for position, arg_type in enumerate(helper.args, start=1):
-            reg = state.regs[position]
+            reg = state[0][position]
             if arg_type is ArgType.ANYTHING:
                 continue
-            if reg.type is RegType.UNINIT:
+            if reg.type is UNINIT:
                 raise VerifierError(
                     f"R{position} !read_ok for {helper.name} at {pc}"
                 )
             if arg_type is ArgType.SCALAR:
-                if reg.type is not RegType.SCALAR:
+                if reg.type is not SCALAR:
                     raise VerifierError(
                         f"{helper.name} arg{position} expects scalar at {pc}"
                     )
             elif arg_type is ArgType.CONST_MAP_PTR:
-                if reg.type is not RegType.CONST_PTR_MAP:
+                if reg.type is not CONST_PTR_MAP:
                     raise VerifierError(
                         f"{helper.name} arg{position} expects map pointer at {pc}"
                     )
@@ -447,7 +504,7 @@ class _Verifier:
                 ArgType.MAP_VALUE_PTR,
                 ArgType.STACK_PTR,
             ):
-                if reg.type is not RegType.PTR_STACK:
+                if reg.type is not PTR_STACK:
                     raise VerifierError(
                         f"{helper.name} arg{position} expects stack pointer at {pc}"
                     )
@@ -457,31 +514,29 @@ class _Verifier:
                 if arg_type is ArgType.MAP_VALUE_PTR and value_size_hint:
                     need = value_size_hint
                 slot = self._check_stack_access(pc, reg, 0, need)
-                for byte in range(slot, slot + need):
-                    if byte not in state.stack_init:
-                        raise VerifierError(
-                            f"{helper.name} reads uninitialized stack "
-                            f"byte {byte} at {pc}"
-                        )
+                byte = _first_uninit(state[1], slot, need)
+                if byte is not None:
+                    raise VerifierError(
+                        f"{helper.name} reads uninitialized stack "
+                        f"byte {byte} at {pc}"
+                    )
         # Return value + caller-saved clobbers.
-        regs = list(state.regs)
+        regs = state[0]
         if helper.ret is RetType.MAP_VALUE_OR_NULL:
             slot = next(
                 (
                     reg.map_slot
-                    for reg in state.regs[1:6]
-                    if reg.type is RegType.CONST_PTR_MAP
+                    for reg in regs[1:6]
+                    if reg.type is CONST_PTR_MAP
                 ),
                 -1,
             )
-            regs[op.R0] = Reg(type=RegType.PTR_MAP_VALUE_OR_NULL, map_slot=slot)
+            ret = self._reg(PTR_MAP_VALUE_OR_NULL, map_slot=slot)
         elif helper.ret is RetType.SCALAR:
-            regs[op.R0] = _SCALAR
+            ret = _SCALAR
         else:
-            regs[op.R0] = _UNINIT
-        for index in range(1, 6):
-            regs[index] = _UNINIT
-        return replace(state, regs=tuple(regs))
+            ret = _UNINIT
+        return ((ret,) + _CLOBBERED + regs[6:], state[1], state[2])
 
 
 def verify(

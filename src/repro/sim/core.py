@@ -417,6 +417,10 @@ class Simulator:
         return self._processed_events
 
     def _enqueue(self, event: Event, delay: float = 0.0) -> None:
+        # Checked at push, so the inlined fast loops -- which skip
+        # step()'s check -- never pop an event earlier than the clock.
+        if delay < 0:
+            raise SimulationError(f"event scheduled in the past (delay {delay})")
         self._seq += 1
         heapq.heappush(self._queue, (self._now + delay, self._seq, event))
 

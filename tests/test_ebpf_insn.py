@@ -67,3 +67,59 @@ class TestProgramImage:
         pair = lddw_pair(dst=1, imm64=3, src=op.PSEUDO_MAP_FD)
         assert pair[0].src == op.PSEUDO_MAP_FD
         assert pair[0].imm == 3
+
+
+def _per_insn_image(insns):
+    return b"".join(insn.encode() for insn in insns)
+
+
+class TestEncodeProgramEdges:
+    """``encode_program`` packs inline; it must equal per-insn encoding."""
+
+    EDGES = [
+        Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=1, imm=-(2**31)),
+        Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=2, imm=2**31 - 1),
+        Insn(op.BPF_ALU64 | op.BPF_XOR | op.BPF_K, dst=3, imm=2**31),
+        Insn(op.BPF_ALU64 | op.BPF_AND | op.BPF_K, dst=4, imm=2**32 - 1),
+        Insn(op.BPF_LDX | op.BPF_W | op.BPF_MEM, dst=5, src=10, off=-4),
+        Insn(op.BPF_ST | op.BPF_DW | op.BPF_MEM, dst=10, off=-(2**15), imm=-1),
+        Insn(op.BPF_JMP | op.BPF_JEQ | op.BPF_K, dst=6, off=2**15 - 1, imm=0),
+        *lddw_pair(dst=1, imm64=7, src=op.PSEUDO_MAP_FD),
+        *lddw_pair(dst=2, imm64=2**64 - 1),
+        Insn(op.BPF_JMP | op.BPF_CALL, imm=1),
+        Insn(op.BPF_JMP | op.BPF_CALL | op.BPF_X, src=15, imm=2**32 - 1),
+        Insn(op.BPF_JMP | op.BPF_EXIT),
+    ]
+
+    def test_matches_per_insn_encode(self):
+        assert encode_program(self.EDGES) == _per_insn_image(self.EDGES)
+        assert encode_program([]) == b""
+
+    def test_roundtrips_through_decode(self):
+        image = encode_program(self.EDGES)
+        decoded = decode_program(image)
+        assert encode_program(decoded) == image
+        # Immediates at or above 2**31 come back as their signed value.
+        assert [insn.imm for insn in decoded] == [
+            insn.imm - 2**32 if insn.imm >= 2**31 else insn.imm
+            for insn in self.EDGES
+        ]
+        assert [(i.opcode, i.dst, i.src, i.off) for i in decoded] == [
+            (i.opcode, i.dst, i.src, i.off) for i in self.EDGES
+        ]
+
+    @given(
+        st.lists(
+            st.builds(
+                Insn,
+                opcode=st.integers(0, 255),
+                dst=st.integers(0, 10),
+                src=st.integers(0, 15),
+                off=st.integers(-(2**15), 2**15 - 1),
+                imm=st.integers(-(2**31), 2**32 - 1),
+            ),
+            max_size=20,
+        )
+    )
+    def test_matches_per_insn_encode_property(self, insns):
+        assert encode_program(insns) == _per_insn_image(insns)

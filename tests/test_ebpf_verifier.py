@@ -83,6 +83,17 @@ class TestBasicAcceptance:
             .exit_()
         )
 
+    def test_scalar_store_over_spill_fills_scalar(self):
+        accept(
+            Asm()
+            .stx_dw(op.R10, op.R1, -16)        # spill ctx pointer
+            .st_imm(op.BPF_W, op.R10, -12, 7)  # overwrite half of it
+            .ldx_dw(op.R3, op.R10, -16)        # fill: now plain data
+            .alu64_imm(op.BPF_ADD, op.R3, 1)   # scalar arithmetic is legal
+            .mov_imm(op.R0, 0)
+            .exit_()
+        )
+
 
 class TestRejections:
     def test_empty_program(self):

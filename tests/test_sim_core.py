@@ -62,6 +62,15 @@ class TestClockAndTimeouts:
         with pytest.raises(SimulationError):
             sim.run(until=5)
 
+    def test_enqueue_in_the_past_rejected(self):
+        sim = Simulator()
+        sim.run(until=10)
+        with pytest.raises(SimulationError, match="in the past"):
+            sim._enqueue(sim.event(), delay=-1.0)
+        assert not sim._queue
+        sim.run()
+        assert sim.now == 10
+
     def test_run_until_with_no_events_advances_clock(self):
         sim = Simulator()
         sim.run(until=42)
