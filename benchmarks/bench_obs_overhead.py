@@ -12,10 +12,11 @@ wall-clock ratio.
 Both arms run in-process by flipping :data:`repro.params.RDX_OBS`
 (a module global read at call time, like ``RDX_PIPELINED_DEPLOY``).
 Plain ``time.perf_counter`` timing, with the arms *interleaved* in
-alternating order and gated on the best paired ratio: a loaded CI
-runner drifts over seconds, so timing all of one arm and then all of
-the other would fold that drift straight into the ratio.  Each pair
-runs back-to-back, and any single clean pair under the gate passes.
+alternating order: a loaded CI runner drifts over seconds, so timing
+all of one arm and then all of the other would fold that drift
+straight into the ratio.  Each pair runs back-to-back, and the gate
+reads the median pair ratio: one lucky pair cannot pass it and one
+noisy pair cannot fail it.
 
 Results land in ``BENCH_OBS.json`` under ``$RDX_BENCH_DIR``.
 """
@@ -28,8 +29,8 @@ from repro.exp.harness import format_table, make_testbed, write_bench_json
 
 #: Warm deploys timed per measurement (one testbed, cache hot).
 DEPLOYS = 60
-#: Interleaved on/off measurement pairs; the gate takes the best pair.
-PAIRS = 5
+#: Interleaved on/off measurement pairs (odd: the median is one pair).
+PAIRS = 7
 #: The gate: obs-on must stay within 15% of obs-off wall clock.
 MAX_RATIO = 1.15
 
@@ -66,9 +67,8 @@ def test_bench_obs_overhead():
         else:
             off, on = _measure(False), _measure(True)
         pairs.append((on, off))
-    with_obs, without_obs = min(
-        pairs, key=lambda pair: pair[0] / pair[1] if pair[1] else 1.0
-    )
+    pairs.sort(key=lambda pair: pair[0] / pair[1] if pair[1] else 1.0)
+    with_obs, without_obs = pairs[PAIRS // 2]
     ratio = with_obs / without_obs if without_obs else 1.0
 
     rows = [
@@ -87,10 +87,14 @@ def test_bench_obs_overhead():
     print(
         format_table(
             f"Observability overhead -- {DEPLOYS} warm deploys, "
-            f"best of {PAIRS} interleaved pairs",
+            f"median of {PAIRS} interleaved pairs",
             ["metric", "value", "unit"],
             rows,
-            note=f"gate: ratio <= {MAX_RATIO} | wrote {path}",
+            note=(
+                f"gate: median ratio <= {MAX_RATIO} | pair ratios "
+                + " ".join(f"{on / off:.3f}" for on, off in pairs if off)
+                + f" | wrote {path}"
+            ),
         )
     )
     assert ratio <= MAX_RATIO, (

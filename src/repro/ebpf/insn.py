@@ -11,12 +11,17 @@ from repro.ebpf import opcodes as op
 _INSN = struct.Struct("<BBhi")  # opcode, dst|src<<4, off, imm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Insn:
     """One eBPF instruction.
 
     ``imm64`` is only meaningful on the first half of an LDDW pair; the
     encoder splits it into the two 32-bit immediates automatically.
+
+    ``raw`` is the 8-byte encoding, packed once at construction: the
+    fields are frozen, so every later encode is a read.  It takes no
+    part in ``==``, ``hash`` or ``repr``.  The class is slotted so the
+    stored bytes cost one pointer per instruction, not a ``__dict__``.
     """
 
     opcode: int
@@ -24,8 +29,11 @@ class Insn:
     src: int = 0
     off: int = 0
     imm: int = 0
+    raw: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0 <= self.opcode <= 255:
+            raise ReproError(f"opcode {self.opcode} out of u8 range")
         if not 0 <= self.dst <= op.MAX_REG:
             raise ReproError(f"bad dst register r{self.dst}")
         if not 0 <= self.src <= 15:
@@ -34,14 +42,19 @@ class Insn:
             raise ReproError(f"offset {self.off} out of s16 range")
         if not -(2**31) <= self.imm < 2**32:
             raise ReproError(f"imm {self.imm} out of 32-bit range")
+        imm = self.imm if self.imm < 2**31 else self.imm - 2**32
+        object.__setattr__(
+            self,
+            "raw",
+            _INSN.pack(self.opcode, (self.src << 4) | self.dst, self.off, imm),
+        )
 
     @property
     def is_lddw(self) -> bool:
         return self.opcode == op.LDDW
 
     def encode(self) -> bytes:
-        imm = self.imm if self.imm < 2**31 else self.imm - 2**32
-        return _INSN.pack(self.opcode, (self.src << 4) | self.dst, self.off, imm)
+        return self.raw
 
     @classmethod
     def decode(cls, data: bytes) -> "Insn":
@@ -60,19 +73,10 @@ class Insn:
 def encode_program(insns: list[Insn]) -> bytes:
     """Serialize a program to its flat 8-bytes-per-insn image.
 
-    Packs each instruction inline, exactly as :meth:`Insn.encode` does:
-    the image is rebuilt on every deploy, so no per-insn method call.
+    Joins the encodings each :class:`Insn` packed when it was built, so
+    the cost per deploy is one concatenation, not one pack per insn.
     """
-    pack = _INSN.pack
-    return b"".join([
-        pack(
-            insn.opcode,
-            (insn.src << 4) | insn.dst,
-            insn.off,
-            insn.imm if insn.imm < 2**31 else insn.imm - 2**32,
-        )
-        for insn in insns
-    ])
+    return b"".join([insn.raw for insn in insns])
 
 
 def decode_program(data: bytes) -> list[Insn]:

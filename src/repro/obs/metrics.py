@@ -163,10 +163,17 @@ class MetricsRegistry:
 
     Series identity is (name, labels); asking for an existing name with
     a different instrument kind is a programming error and raises.
+
+    Reads walk the series in key order.  That order changes only when a
+    series is created or removed, so it is sorted once and kept until
+    then, not re-sorted on every read (the flight recorder walks the
+    whole registry at each journal commit).
     """
 
     def __init__(self):
         self._metrics: dict[tuple[str, LabelKey], Metric] = {}
+        #: ``_metrics`` items in key order; None until the next read.
+        self._ordered: Optional[list[tuple[tuple[str, LabelKey], Metric]]] = None
 
     def counter(self, name: str, **labels: object) -> Counter:
         return self._get_or_create(Counter, name, labels)
@@ -183,6 +190,7 @@ class MetricsRegistry:
         if metric is None:
             metric = cls(name, key[1])
             self._metrics[key] = metric
+            self._ordered = None
         elif not isinstance(metric, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {metric.kind}, "
@@ -194,16 +202,23 @@ class MetricsRegistry:
         """Existing series or None (never creates)."""
         return self._metrics.get((name, _label_key(labels)))
 
+    def _in_order(self) -> list[tuple[tuple[str, LabelKey], Metric]]:
+        # Never mutated in place: a reader mid-iteration keeps the list
+        # it started with, however the registry changes under it.
+        if self._ordered is None:
+            self._ordered = sorted(self._metrics.items())
+        return self._ordered
+
     def series(self, name: str) -> list[Metric]:
         """Every series of one metric family, sorted by labels."""
         return [
             metric
-            for (metric_name, _), metric in sorted(self._metrics.items())
+            for (metric_name, _), metric in self._in_order()
             if metric_name == name
         ]
 
     def __iter__(self) -> Iterator[Metric]:
-        for _key, metric in sorted(self._metrics.items()):
+        for _key, metric in self._in_order():
             yield metric
 
     def __len__(self) -> int:
@@ -211,6 +226,7 @@ class MetricsRegistry:
 
     def clear(self) -> None:
         self._metrics.clear()
+        self._ordered = None
 
     def drop(self, name: Optional[str] = None, **labels: object) -> int:
         """Remove every series matching ``name`` and/or a label subset.
@@ -231,6 +247,8 @@ class MetricsRegistry:
         ]
         for key in doomed:
             del self._metrics[key]
+        if doomed:
+            self._ordered = None
         return len(doomed)
 
     def snapshot(self) -> list[dict]:

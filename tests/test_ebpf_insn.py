@@ -1,5 +1,8 @@
 """Instruction encode/decode tests."""
 
+import dataclasses
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +43,13 @@ class TestEncoding:
         with pytest.raises(ReproError):
             Insn(opcode=0, off=2**15)
 
+    def test_opcode_range_checked(self):
+        assert Insn(opcode=0).opcode == 0
+        assert Insn(opcode=255).opcode == 255
+        for opcode in (256, -1):
+            with pytest.raises(ReproError, match="opcode"):
+                Insn(opcode=opcode)
+
     def test_decode_wrong_length(self):
         with pytest.raises(ReproError):
             Insn.decode(b"short")
@@ -69,12 +79,24 @@ class TestProgramImage:
         assert pair[0].imm == 3
 
 
+_REF = struct.Struct("<BBhi")
+
+
 def _per_insn_image(insns):
-    return b"".join(insn.encode() for insn in insns)
+    """Reference image packed from the fields, not from ``Insn.raw``."""
+    return b"".join(
+        _REF.pack(
+            insn.opcode,
+            (insn.src << 4) | insn.dst,
+            insn.off,
+            insn.imm - 2**32 if insn.imm >= 2**31 else insn.imm,
+        )
+        for insn in insns
+    )
 
 
 class TestEncodeProgramEdges:
-    """``encode_program`` packs inline; it must equal per-insn encoding."""
+    """``encode_program`` joins stored encodings; they must match the fields."""
 
     EDGES = [
         Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=1, imm=-(2**31)),
@@ -123,3 +145,46 @@ class TestEncodeProgramEdges:
     )
     def test_matches_per_insn_encode_property(self, insns):
         assert encode_program(insns) == _per_insn_image(insns)
+
+
+class TestStoredEncoding:
+    """``Insn.raw`` is packed once; it must track the fields it came from."""
+
+    INSN = Insn(op.BPF_ALU64 | op.BPF_MOV | op.BPF_K, dst=3, off=-2, imm=7)
+
+    def test_encode_is_raw(self):
+        assert self.INSN.encode() is self.INSN.raw
+        assert self.INSN.raw == _per_insn_image([self.INSN])
+
+    def test_replace_recomputes_raw(self):
+        patched = dataclasses.replace(self.INSN, imm=2**32 - 1)
+        assert patched.raw == _per_insn_image([patched])
+        assert patched.raw != self.INSN.raw
+        assert self.INSN.raw == _per_insn_image([self.INSN])
+
+    def test_raw_is_not_part_of_identity(self):
+        twin = Insn(self.INSN.opcode, dst=3, off=-2, imm=7)
+        assert twin == self.INSN
+        assert hash(twin) == hash(self.INSN)
+        assert "raw" not in repr(self.INSN)
+        assert [f.name for f in dataclasses.fields(Insn) if f.compare] == [
+            "opcode", "dst", "src", "off", "imm",
+        ]
+        with pytest.raises(TypeError):
+            Insn(0, raw=b"\x00" * 8)
+
+    def test_slotted_without_instance_dict(self):
+        assert not hasattr(self.INSN, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            self.INSN.raw = b"\x00" * 8
+
+    @given(
+        st.integers(0, 255),
+        st.integers(0, 10),
+        st.integers(0, 15),
+        st.integers(-(2**15), 2**15 - 1),
+        st.integers(-(2**31), 2**31 - 1),
+    )
+    def test_decode_keeps_the_bytes(self, opcode, dst, src, off, imm):
+        data = _REF.pack(opcode, (src << 4) | dst, off, imm)
+        assert Insn.decode(data).raw == data

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.journal import REC_FLIGHT, IntentJournal
 from repro.ebpf.stress import make_stress_program
+from repro.exp.harness import make_testbed
 from repro.obs.flight import FlightRecorder, format_blackbox
 from repro.obs.telemetry import Telemetry, export_prometheus
 from repro.sim.trace import TraceRecorder
@@ -65,6 +66,54 @@ class TestRing:
         assert journal.known_targets() == []
         assert journal.in_flight() == []
         assert journal.committed_intent() == {}
+
+
+class _SortEveryRead:
+    """A registry view that sorts on every read, as iteration used to."""
+
+    def __init__(self, registry):
+        self.registry = registry
+
+    def __iter__(self):
+        for _key, metric in sorted(self.registry._metrics.items()):
+            yield metric
+
+
+class TestNoteMetricsOrder:
+    """The registry's cached order must not change what the ring holds."""
+
+    def test_ring_matches_sort_per_call_reference(self, monkeypatch):
+        bed = make_testbed(n_hosts=1, cores_per_host=4)
+        shadow = FlightRecorder(bed.sim, capacity=100_000)
+        note_metrics = FlightRecorder.note_metrics
+        calls = []
+
+        def note_both(self, registry, prefix="rdx."):
+            recorded = note_metrics(self, registry, prefix)
+            assert recorded <= self.capacity
+            mark = len(shadow.entries)
+            note_metrics(shadow, _SortEveryRead(registry), prefix)
+            ring = list(self.entries)
+            calls.append(
+                (ring[len(ring) - recorded:], list(shadow.entries)[mark:])
+            )
+            return recorded
+
+        monkeypatch.setattr(FlightRecorder, "note_metrics", note_both)
+        programs = [
+            make_stress_program(120 + 40 * i, seed=i, name=f"nm{i}")
+            for i in range(3)
+        ]
+        # Cold deploys create series between commits; the warm switch
+        # back only moves existing ones.
+        for program in programs + programs[::-1]:
+            bed.sim.run_process(
+                bed.control.inject(bed.codeflow, program, "ingress")
+            )
+        assert len(calls) >= len(programs) * 2
+        assert sum(len(ours) for ours, _ in calls) > 10
+        for ours, reference in calls:
+            assert ours == reference
 
 
 class TestCrashSnapshot:

@@ -125,3 +125,68 @@ class TestRegistry:
         registry.counter("a", a="1")
         names = [(m.name, m.labels) for m in registry]
         assert names == sorted(names)
+
+
+def _reference_items(registry):
+    """The order every read used to compute: a fresh sort per call."""
+    return sorted(registry._metrics.items())
+
+
+class TestRegistryOrder:
+    """The cached series order must equal a sort taken on every read."""
+
+    @staticmethod
+    def _assert_matches_reference(registry):
+        items = _reference_items(registry)
+        assert list(registry) == [metric for _key, metric in items]
+        for name in {key[0] for key, _metric in items} | {"absent"}:
+            assert registry.series(name) == [
+                metric for key, metric in items if key[0] == name
+            ]
+
+    def test_interleaved_create_drop_clear(self):
+        registry = MetricsRegistry()
+        self._assert_matches_reference(registry)
+        registry.counter("b", t="2")
+        registry.gauge("a")
+        self._assert_matches_reference(registry)
+        registry.counter("b", t="1")
+        registry.histogram("c", t="1", epoch="0")
+        registry.counter("a.x", t="1")
+        self._assert_matches_reference(registry)
+        registry.counter("b", t="1")  # existing series: order unchanged
+        self._assert_matches_reference(registry)
+        assert registry.drop("nope") == 0
+        self._assert_matches_reference(registry)
+        assert registry.drop(t="1") == 3
+        self._assert_matches_reference(registry)
+        registry.counter("a", t="0")
+        self._assert_matches_reference(registry)
+        registry.clear()
+        self._assert_matches_reference(registry)
+        assert list(registry) == []
+        registry.gauge("z")
+        registry.counter("y", k="v")
+        self._assert_matches_reference(registry)
+
+    def test_series_created_between_iterations(self):
+        registry = MetricsRegistry()
+        registry.counter("m", k="b")
+        first = list(registry)
+        registry.counter("m", k="a")
+        self._assert_matches_reference(registry)
+        assert len(list(registry)) == len(first) + 1
+        assert [m.labels for m in registry.series("m")] == [
+            (("k", "a"),), (("k", "b"),),
+        ]
+
+    def test_creating_mid_iteration_keeps_the_started_order(self):
+        registry = MetricsRegistry()
+        registry.counter("a")
+        registry.counter("c")
+        seen = []
+        for metric in registry:
+            seen.append(metric.name)
+            registry.counter("b")  # created while the walk is open
+        assert seen == ["a", "c"]
+        assert [m.name for m in registry] == ["a", "b", "c"]
