@@ -1,20 +1,16 @@
-"""Delta-deploy ablation: dirty chunks vs the full-image fast path.
+"""Delta-deploy ablation: dirty chunks vs a full-image deploy.
 
-The delta path (``RDX_DELTA_DEPLOY=1``) diffs the newly linked image
-against the target's resident baseline at MTU-chunk granularity and
-ships only the cache-line-trimmed dirty spans plus the metadata
-descriptor; the ablation arm (``RDX_DELTA_DEPLOY=0``) reruns the same
-one-instruction hotpatch chain on the full-image pipelined path.
-
-Mode selection mirrors CI's matrix: with ``RDX_DELTA_DEPLOY`` unset,
-both arms run in-process and the >= 5x bytes-moved floor is asserted
-here; with the variable set, only that arm runs.
+The deploy planner diffs the newly linked image against the target's
+resident baseline at MTU-chunk granularity and ships only the
+cache-line-trimmed dirty spans plus the metadata descriptor.  The
+full arm deploys the same one-instruction hotpatch on a fresh testbed
+with no baseline resident, so the planner falls back and ships the
+whole image.  Both arms run in-process and the >= 5x bytes-moved
+floor is asserted here.
 
 Results land in ``BENCH_DELTA.json`` (rows of
 ``{bench, metric, value, unit, sim_time}``) under ``$RDX_BENCH_DIR``.
 """
-
-import os
 
 from repro.exp.delta_deploy import run_delta_deploy
 from repro.exp.harness import format_table, write_bench_json
@@ -24,20 +20,8 @@ from repro.exp.harness import format_table, write_bench_json
 MIN_BYTES_RATIO = 5.0
 
 
-def _modes_from_env():
-    value = os.environ.get("RDX_DELTA_DEPLOY")
-    if value is None:
-        return ("delta", "full")
-    if value in ("0", "false", "no"):
-        return ("full",)
-    return ("delta",)
-
-
 def test_bench_delta(benchmark):
-    modes = _modes_from_env()
-    result = benchmark.pedantic(
-        run_delta_deploy, kwargs={"modes": modes}, rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(run_delta_deploy, rounds=1, iterations=1)
 
     table_rows = []
     json_rows = []
@@ -60,21 +44,19 @@ def test_bench_delta(benchmark):
                 }
             )
 
-    note = ""
-    if result.bytes_ratio is not None:
-        json_rows.append(
-            {"metric": "ratio.bytes_moved", "value": result.bytes_ratio,
-             "unit": "x"}
-        )
-        json_rows.append(
-            {"metric": "ratio.hotpatch_latency", "value": result.latency_ratio,
-             "unit": "x"}
-        )
-        note = (
-            f"bytes moved: {result.bytes_ratio:.1f}x fewer on the delta arm "
-            f"(floor: {MIN_BYTES_RATIO:.0f}x), latency "
-            f"{result.latency_ratio:.2f}x"
-        )
+    json_rows.append(
+        {"metric": "ratio.bytes_moved", "value": result.bytes_ratio,
+         "unit": "x"}
+    )
+    json_rows.append(
+        {"metric": "ratio.hotpatch_latency", "value": result.latency_ratio,
+         "unit": "x"}
+    )
+    note = (
+        f"bytes moved: {result.bytes_ratio:.1f}x fewer on the delta arm "
+        f"(floor: {MIN_BYTES_RATIO:.0f}x), latency "
+        f"{result.latency_ratio:.2f}x"
+    )
     path = write_bench_json("DELTA", json_rows)
 
     print()
@@ -89,24 +71,24 @@ def test_bench_delta(benchmark):
     )
     print(f"results: {path}")
 
-    fast = result.modes.get("delta")
-    if fast is not None:
-        benchmark.extra_info["delta_hotpatch_bytes"] = fast.hotpatch_bytes
-        # The acceptance shape: ~1 chunk + commit CAS for a
-        # one-instruction edit (the edited insn and the image CRC
-        # share the trailing MTU chunk).
-        assert fast.mode_used == "delta"
-        assert fast.hotpatch_chunks == 1
-        assert fast.delta_deploys == 1
-        # v1 (no owner) and v2 (no baseline yet) fell back, counted.
-        assert fast.delta_fallbacks == 2
-    slow = result.modes.get("full")
-    if slow is not None:
-        benchmark.extra_info["full_hotpatch_bytes"] = slow.hotpatch_bytes
-        assert slow.mode_used == "full"
-        assert slow.delta_deploys == 0
+    fast = result.modes["delta"]
+    benchmark.extra_info["delta_hotpatch_bytes"] = fast.hotpatch_bytes
+    # The acceptance shape: ~1 chunk + commit CAS for a
+    # one-instruction edit (the edited insn and the image CRC share
+    # the trailing MTU chunk).
+    assert fast.mode_used == "delta"
+    assert fast.hotpatch_chunks == 1
+    assert fast.delta_deploys == 1
+    assert fast.hotpatch_fallbacks == {}
+    # v1 (no owner) and v2 (no baseline yet) fell back, counted.
+    assert fast.delta_fallbacks == 2
+    slow = result.modes["full"]
+    benchmark.extra_info["full_hotpatch_bytes"] = slow.hotpatch_bytes
+    assert slow.mode_used == "full"
+    # The hotpatch is one counted fallback: v1's extent was never
+    # superseded on this testbed, so no baseline is resident.
+    assert slow.hotpatch_fallbacks == {"no-baseline": 1}
 
-    if fast is not None and slow is not None:
-        # Both arms installed the same v3 semantics.
-        assert fast.exec_r0 == slow.exec_r0
-        assert result.bytes_ratio >= MIN_BYTES_RATIO
+    # Both arms installed the same v3 semantics.
+    assert fast.exec_r0 == slow.exec_r0
+    assert result.bytes_ratio >= MIN_BYTES_RATIO

@@ -391,12 +391,13 @@ class CodeFlow:
         it, its code pages are freed.
 
         With :data:`repro.params.RDX_PIPELINED_DEPLOY` set (default)
-        the body runs on the batched fast path (one WR chain for image
-        + metadata, direct CAS commit); the serial path remains as the
-        ablation baseline.  ``fenced`` certifies the caller already ran
-        :meth:`check_fence` for this operation (a broadcast leg fences
-        when its bubble rises); the fast path then skips the duplicate
-        epoch read -- one fence per transaction, not one per op.
+        the body runs on the batched path (one WR chain for image, or
+        a delta's dirty spans, + metadata, direct CAS commit); the
+        serial path remains as the paper-calibrated baseline.
+        ``fenced`` certifies the caller already ran :meth:`check_fence`
+        for this operation (a broadcast leg fences when its bubble
+        rises); the pipelined path then skips the duplicate epoch read
+        -- one fence per transaction, not one per op.
         """
         if not linked.is_linked:
             raise DeployError(f"{program.name}: image has unresolved relocations")
@@ -410,9 +411,7 @@ class CodeFlow:
             program=program.name, target=self.sandbox.name, hook=hook_name,
         )
         body = (
-            self._deploy_body_delta
-            if params.RDX_PIPELINED_DEPLOY and params.RDX_DELTA_DEPLOY
-            else self._deploy_body_fast
+            self._deploy_body_pipelined
             if params.RDX_PIPELINED_DEPLOY
             else self._deploy_body
         )
@@ -529,7 +528,7 @@ class CodeFlow:
         )
         return report
 
-    def _deploy_body_fast(
+    def _deploy_body_pipelined(
         self,
         program: BpfProgram,
         linked: JitBinary,
@@ -539,7 +538,7 @@ class CodeFlow:
         report: DeployReport,
         fenced: bool = False,
     ) -> Generator:
-        """Pipelined deploy: image + metadata out as one WR chain.
+        """Pipelined deploy: image (or its delta) + metadata as one WR chain.
 
         Differences from the serial body, and why each is sound:
 
@@ -549,9 +548,9 @@ class CodeFlow:
         * The stub rendezvous is skipped when the linked image came out
           of the layout-fingerprinted cache -- a hit certifies the
           Meta descriptor + GOT window already match this layout.
-        * Code image and metadata descriptor ride one chain (one
-          doorbell, selective signaling); torn-write semantics per WR
-          are unchanged because the RNIC still lands MTU chunks.
+        * Code and metadata descriptor ride one chain (one doorbell,
+          selective signaling); torn-write semantics per WR are
+          unchanged because the RNIC still lands MTU chunks.
         * The commit is a direct CAS with no separate ordering fence:
           the chain's signaled completion *is* the ordering point (RC
           ordering retires every chained WR before the CAS issues on
@@ -563,7 +562,19 @@ class CodeFlow:
           this same transaction moments ago (broadcast fences when the
           bubble rises), and fencing is advisory at op start either
           way -- the window between fence and CAS exists at any grain.
+
+        What the chain carries is :meth:`_delta_plan`'s decision.  With
+        no plan the whole image goes to a fresh extent.  With one, the
+        target already holds a resident, non-live extent whose exact
+        bytes the control plane knows -- the *baseline*, the image
+        superseded one generation ago and kept alive by
+        :meth:`_bookkeep` -- and only the cache-line-trimmed dirty
+        spans are written *into the baseline extent*.  The commit CAS
+        then flips the hook from the live extent to the rewritten
+        baseline; the two extents ping-pong roles on every subsequent
+        delta.
         """
+        plan = self._delta_plan(linked, hook_name)
         if not fenced:
             yield from self.check_fence()
 
@@ -575,11 +586,17 @@ class CodeFlow:
             yield self.sim.timeout(params.RDX_STUB_RENDEZVOUS_US)
         report.dispatch_us = self.sim.now - mark
 
-        owner_name = self._hook_owner.get(hook_name)
-        existing = self.deployed.get(owner_name) if owner_name else None
         hook_addr = self._hook_addr(hook_name)
+        if plan is None:
+            owner_name = self._hook_owner.get(hook_name)
+            existing = self.deployed.get(owner_name) if owner_name else None
+            code_addr = self.code_allocator.alloc(len(linked.code), align=64)
+            spans = [(0, linked.code)]
+        else:
+            existing = plan.existing
+            code_addr = plan.target_addr
+            spans = plan.ranges
         expected = existing.code_addr if existing else 0
-        code_addr = self.code_allocator.alloc(len(linked.code), align=64)
         slot = self._pick_metadata_slot()
         block = MetadataBlock(
             state=SLOT_LIVE,
@@ -594,30 +611,35 @@ class CodeFlow:
             name=program.name,
         )
 
+        def unwind() -> None:
+            if plan is None:
+                self._unwind_failed_deploy(code_addr, slot)
+            else:
+                self._unwind_failed_delta(existing, slot)
+
+        # The txn publishes the whole extent the flipped pointer makes
+        # reachable, not just a delta's dirty spans: the checker holds
+        # a delta commit to the same standard as a full-image install.
         txn = (
             hb.txn_note(publishes=(code_addr, len(linked.code)))
             if params.RDX_HB_CHECK
             else None
         )
         body = {"txn": txn["txn"]} if txn else None
+        ops = [(code_addr + offset, payload) for offset, payload in spans]
+        ops.append((self.manifest.metadata_addr + slot * 256, block.encode()))
         mark = self.sim.now
         try:
-            yield from self.sync.write_batch(
-                [
-                    (code_addr, linked.code),
-                    (self.manifest.metadata_addr + slot * 256, block.encode()),
-                ],
-                note=body,
-            )
+            yield from self.sync.write_batch(ops, note=body)
         except BaseException:
-            self._unwind_failed_deploy(code_addr, slot)
+            unwind()
             raise
         report.write_us = self.sim.now - mark
 
         mark = self.sim.now
         prior = yield from self.sync.cas(hook_addr, expected, code_addr, note=txn)
         if prior != expected:
-            self._unwind_failed_deploy(code_addr, slot)
+            unwind()
             raise DeployError(
                 f"{program.name}: hook {hook_name!r} CAS expected "
                 f"{expected:#x}, found {prior:#x} (concurrent update?)"
@@ -630,9 +652,25 @@ class CodeFlow:
 
         if flush_hook:
             mark = self.sim.now
+            if plan is not None:
+                # The reused extent was live (and executed) two
+                # generations ago, so the target CPU may still cache
+                # its old lines, and DMA writes leave those snapshots
+                # stale.  Flush the dirty spans *before* the hook line:
+                # the code must be coherent before the pointer that
+                # reaches it is.
+                for offset, payload in spans:
+                    yield from self.sync.cc_event(
+                        code_addr + offset, len(payload)
+                    )
             yield from self.sync.cc_event(hook_addr, 8)
             report.cc_us = self.sim.now - mark
 
+        if plan is not None:
+            report.mode = "delta"
+            report.delta_chunks = len(spans)
+            report.bytes_moved = sum(len(payload) for _, payload in spans) + 256
+            report.delta_base_version = plan.base_version
         self._bookkeep(
             program, hook_name, code_addr, len(linked.code), slot,
             block.version, existing, retain_history, report,
@@ -650,8 +688,10 @@ class CodeFlow:
         fingerprint matches the one :meth:`link_code` just produced,
         the image size must be unchanged, and the diff must be under
         break-even.  Anything else returns None (with the reason
-        counted in ``rdx.delta.fallback``) and the full pipelined body
-        runs instead -- correctness never depends on delta eligibility.
+        counted in ``rdx.delta.fallback``) and the pipelined body ships
+        the full image instead -- correctness never depends on delta
+        eligibility.  The break-even is
+        :data:`repro.params.RDX_DELTA_MAX_CHUNKS`.
         """
 
         def fallback(reason: str) -> None:
@@ -683,135 +723,6 @@ class CodeFlow:
             ranges=ranges,
             base_version=existing.baseline_version,
         )
-
-    def _deploy_body_delta(
-        self,
-        program: BpfProgram,
-        linked: JitBinary,
-        hook_name: str,
-        flush_hook: bool,
-        retain_history: bool,
-        report: DeployReport,
-        fenced: bool = False,
-    ) -> Generator:
-        """Delta deploy: ship only the chunks that differ from the baseline.
-
-        The target already holds a resident, non-live extent whose
-        exact bytes the control plane knows -- the *baseline*, the
-        image superseded one generation ago and kept alive by
-        :meth:`_bookkeep`.  When the link cache certifies the layout is
-        unchanged, the new image differs from that baseline only where
-        the program text changed, so the body diffs at MTU-chunk
-        granularity, trims each dirty chunk to its cache-line-aligned
-        dirty span, and sends just those spans plus the fresh metadata
-        descriptor as one WR chain *into the baseline extent*.  The
-        commit CAS then flips the hook from the live extent to the
-        rewritten baseline; the two extents ping-pong roles on every
-        subsequent delta.
-
-        Falls back to :meth:`_deploy_body_fast` (reason counted in
-        ``rdx.delta.fallback``) whenever the baseline is unavailable,
-        the layout fingerprint moved, or the diff is past break-even
-        (:data:`repro.params.RDX_DELTA_MAX_CHUNKS`).
-        """
-        plan = self._delta_plan(linked, hook_name)
-        if plan is None:
-            report = yield from self._deploy_body_fast(
-                program, linked, hook_name, flush_hook, retain_history,
-                report, fenced,
-            )
-            return report
-
-        if not fenced:
-            yield from self.check_fence()
-
-        mark = self.sim.now
-        yield from (
-            self.dispatch_cpu or self.control_plane.host.cpu
-        ).run(params.RDX_DISPATCH_FAST_US)
-        if not self._last_link_cached:
-            yield self.sim.timeout(params.RDX_STUB_RENDEZVOUS_US)
-        report.dispatch_us = self.sim.now - mark
-
-        existing = plan.existing
-        target_addr = plan.target_addr
-        hook_addr = self._hook_addr(hook_name)
-        slot = self._pick_metadata_slot()
-        block = MetadataBlock(
-            state=SLOT_LIVE,
-            prog_id=program.prog_id,
-            insn_cnt=len(program.insns),
-            ref_count=1,
-            code_addr=target_addr,
-            code_len=len(linked.code),
-            hook_slot=self.manifest.hook_layout.get(hook_name, -1),
-            version=existing.version + 1,
-            tag=program.tag().encode()[:16],
-            name=program.name,
-        )
-
-        # The txn publishes the whole extent the flipped pointer makes
-        # reachable, not just the dirty spans: the checker holds the
-        # commit to the same standard as a full-image install.
-        txn = (
-            hb.txn_note(publishes=(target_addr, len(linked.code)))
-            if params.RDX_HB_CHECK
-            else None
-        )
-        body = {"txn": txn["txn"]} if txn else None
-        ops = [
-            (target_addr + offset, payload)
-            for offset, payload in plan.ranges
-        ]
-        ops.append((self.manifest.metadata_addr + slot * 256, block.encode()))
-        mark = self.sim.now
-        try:
-            yield from self.sync.write_batch(ops, note=body)
-        except BaseException:
-            self._unwind_failed_delta(existing, slot)
-            raise
-        report.write_us = self.sim.now - mark
-
-        mark = self.sim.now
-        prior = yield from self.sync.cas(
-            hook_addr, existing.code_addr, target_addr, note=txn
-        )
-        if prior != existing.code_addr:
-            self._unwind_failed_delta(existing, slot)
-            raise DeployError(
-                f"{program.name}: hook {hook_name!r} CAS expected "
-                f"{existing.code_addr:#x}, found {prior:#x} "
-                "(concurrent update?)"
-            )
-        self.sync.tx_count += 1
-        report.commit_us = self.sim.now - mark
-
-        if flush_hook:
-            mark = self.sim.now
-            # The reused extent was live (and executed) two generations
-            # ago, so the target CPU may still cache its old lines, and
-            # DMA writes leave those snapshots stale.  Flush the dirty
-            # spans *before* the hook line: the code must be coherent
-            # before the pointer that reaches it is.
-            for offset, payload in plan.ranges:
-                yield from self.sync.cc_event(
-                    target_addr + offset, len(payload)
-                )
-            yield from self.sync.cc_event(hook_addr, 8)
-            report.cc_us = self.sim.now - mark
-
-        report.mode = "delta"
-        report.delta_chunks = len(plan.ranges)
-        report.bytes_moved = (
-            sum(len(payload) for _, payload in plan.ranges) + 256
-        )
-        report.delta_base_version = plan.base_version
-        self._bookkeep(
-            program, hook_name, target_addr, len(linked.code), slot,
-            block.version, existing, retain_history, report,
-            image=linked.code,
-        )
-        return report
 
     def _unwind_failed_delta(
         self, existing: DeployedProgram, slot: int

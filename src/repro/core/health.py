@@ -168,15 +168,15 @@ class HealthDetector:
     def probe_all(self) -> Generator:
         """Heartbeat every target once, in parallel; returns the states.
 
-        With :data:`repro.params.RDX_HEALTH_BATCH_SWEEP` (default) the
-        round runs as one batched sweep per detector: every 8-byte
-        READ goes out back to back with a single accounting pass at
-        the end, instead of N independent probe processes each paying
-        a span, a retry-policy swap, and per-probe metric writes.
+        With more than one target the round runs as one batched sweep
+        per detector: every 8-byte READ goes out back to back with a
+        single accounting pass at the end, instead of N independent
+        probe processes each paying a span, a retry-policy swap, and
+        per-probe metric writes.  A lone target is probed directly.
         Lease semantics, fault-hook consultation, and the scraper
         piggyback are identical on both paths.
         """
-        if params.RDX_HEALTH_BATCH_SWEEP and len(self.codeflows) > 1:
+        if len(self.codeflows) > 1:
             states = yield from self._sweep()
             return states
         probes = [

@@ -106,10 +106,9 @@ def run_fault_campaign(
 
     ``hotpatch=True`` makes every round a one-instruction variant of
     the same base program per target -- the layout fingerprint then
-    holds across rounds, so with :data:`repro.params.RDX_DELTA_DEPLOY`
-    set, steady-state rounds ship as deltas and the whole fault
-    schedule lands on the delta path (fresh targets, just-rebooted
-    targets, and post-rollback rounds still fall back to full).
+    holds across rounds, so steady-state rounds ship as deltas and the
+    whole fault schedule lands on the delta path (fresh targets,
+    just-rebooted targets, and post-rollback rounds still ship full).
     """
     rng = random.Random(seed)
     bed = testbed or make_testbed(n_hosts=n_hosts, cores_per_host=8, seed=seed)

@@ -233,46 +233,41 @@ def _schedule_delta_chunk_reordered(seed: int) -> ScheduleResult:
     primary: the CAS's completion says nothing about the sibling QP's
     chunk, so the published extent can go live half-patched.
     """
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
-    try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
-        sim = bed.sim
-        sandbox = bed.sandboxes[0]
-        v1 = make_stress_program(400, seed=seed + 3, name="hbdelta")
-        v2 = make_stress_variant(v1, 1)
-        sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
-        sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
-        record = bed.codeflow.deployed["hbdelta"]
-        assert record.baseline_addr is not None
-        hook_addr = sandbox.hook_table.slot_addr("ingress")
+    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
+    sim = bed.sim
+    sandbox = bed.sandboxes[0]
+    v1 = make_stress_program(400, seed=seed + 3, name="hbdelta")
+    v2 = make_stress_variant(v1, 1)
+    sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
+    sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
+    record = bed.codeflow.deployed["hbdelta"]
+    assert record.baseline_addr is not None
+    hook_addr = sandbox.hook_table.slot_addr("ingress")
 
-        note = hb_events.txn_note(
-            publishes=(record.baseline_addr, record.code_len)
-        )
-        chunk_sync = sibling_sync(bed, sandbox)
-        sim.spawn(
-            chunk_sync.write(
-                record.baseline_addr + 256, b"\xd7" * 64,
-                note={"txn": note["txn"]},
-            ),
-            name="hb-delta-chunk",
-        )
-        sim.spawn(
-            bed.codeflow.sync.cas(
-                hook_addr, record.code_addr, record.baseline_addr, note=note
-            ),
-            name="hb-delta-commit",
-        )
-        sim.run(until=sim.now + 10_000)
-        return _finish(
-            bed,
-            ScheduleResult(
-                "delta-chunk-reordered", expect="commit-before-body"
-            ),
-        )
-    finally:
-        params.RDX_DELTA_DEPLOY = saved
+    note = hb_events.txn_note(
+        publishes=(record.baseline_addr, record.code_len)
+    )
+    chunk_sync = sibling_sync(bed, sandbox)
+    sim.spawn(
+        chunk_sync.write(
+            record.baseline_addr + 256, b"\xd7" * 64,
+            note={"txn": note["txn"]},
+        ),
+        name="hb-delta-chunk",
+    )
+    sim.spawn(
+        bed.codeflow.sync.cas(
+            hook_addr, record.code_addr, record.baseline_addr, note=note
+        ),
+        name="hb-delta-commit",
+    )
+    sim.run(until=sim.now + 10_000)
+    return _finish(
+        bed,
+        ScheduleResult(
+            "delta-chunk-reordered", expect="commit-before-body"
+        ),
+    )
 
 
 def _schedule_delta_stale_baseline(seed: int) -> ScheduleResult:
@@ -284,45 +279,40 @@ def _schedule_delta_stale_baseline(seed: int) -> ScheduleResult:
     knows as the dormant baseline.  Its precomputed dirty span then
     lands in code the data path is executing.
     """
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
+    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
+    sim = bed.sim
+    sandbox = bed.sandboxes[0]
+    v1 = make_stress_program(400, seed=seed + 9, name="hbstale")
+    v2 = make_stress_variant(v1, 1)
+    sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
+    sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
+    record = bed.codeflow.deployed["hbstale"]
+    stale_base = record.baseline_addr
+    assert stale_base is not None
+
+    sandbox.warm_reboot()
+    bed.codeflow.reset_after_reboot()
+    fresh = make_stress_program(400, seed=seed + 23, name="hbfresh")
+    sim.run_process(bed.control.inject(bed.codeflow, fresh, "ingress"))
+    # Address reuse is the point: the reset allocator put the
+    # fresh live image where the stale baseline used to be.
+    assert bed.codeflow.deployed["hbfresh"].code_addr == stale_base
+
+    writer = sibling_sync(bed, sandbox)
+    sim.spawn(
+        writer.write(stale_base + 256, b"\xd7" * 64),
+        name="hb-stale-delta",
+    )
+    sim.run(until=sim.now + 2.5)  # mid-landing
     try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed)
-        sim = bed.sim
-        sandbox = bed.sandboxes[0]
-        v1 = make_stress_program(400, seed=seed + 9, name="hbstale")
-        v2 = make_stress_variant(v1, 1)
-        sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
-        sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
-        record = bed.codeflow.deployed["hbstale"]
-        stale_base = record.baseline_addr
-        assert stale_base is not None
-
-        sandbox.warm_reboot()
-        bed.codeflow.reset_after_reboot()
-        fresh = make_stress_program(400, seed=seed + 23, name="hbfresh")
-        sim.run_process(bed.control.inject(bed.codeflow, fresh, "ingress"))
-        # Address reuse is the point: the reset allocator put the
-        # fresh live image where the stale baseline used to be.
-        assert bed.codeflow.deployed["hbfresh"].code_addr == stale_base
-
-        writer = sibling_sync(bed, sandbox)
-        sim.spawn(
-            writer.write(stale_base + 256, b"\xd7" * 64),
-            name="hb-stale-delta",
-        )
-        sim.run(until=sim.now + 2.5)  # mid-landing
-        try:
-            sandbox.run_hook("ingress", bytes(256))
-        except SandboxCrash:
-            pass  # decoding the half-patched image may crash -- the bug
-        sandbox.crashed = False
-        sim.run(until=sim.now + 10_000)
-        return _finish(
-            bed, ScheduleResult("delta-stale-baseline", expect="torn-exec")
-        )
-    finally:
-        params.RDX_DELTA_DEPLOY = saved
+        sandbox.run_hook("ingress", bytes(256))
+    except SandboxCrash:
+        pass  # decoding the half-patched image may crash -- the bug
+    sandbox.crashed = False
+    sim.run(until=sim.now + 10_000)
+    return _finish(
+        bed, ScheduleResult("delta-stale-baseline", expect="torn-exec")
+    )
 
 
 def relay_sync(bed: Testbed, parent: Sandbox, child: Sandbox) -> RemoteSync:

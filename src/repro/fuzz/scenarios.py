@@ -114,43 +114,38 @@ def _drive_single_deploy(sim, seed: int, plan: "SchedulePlan") -> None:
 def _drive_delta_hotpatch(sim, seed: int, plan: "SchedulePlan") -> None:
     from repro.ebpf.stress import make_stress_program, make_stress_variant
 
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
-    try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
-        sandbox = bed.sandboxes[0]
-        injector = FaultInjector(bed.codeflow, seed=seed)
-        injector.attach()
-        v1 = make_stress_program(400, seed=seed + 3, name="fzdelta")
+    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
+    sandbox = bed.sandboxes[0]
+    injector = FaultInjector(bed.codeflow, seed=seed)
+    injector.attach()
+    v1 = make_stress_program(400, seed=seed + 3, name="fzdelta")
 
-        def drive():
-            yield from bed.control.inject(bed.codeflow, v1, "ingress")
-            for patch in range(2):
-                injector.disarm()
-                injector.arm_from_plan(plan, f"fault.kind:patch{patch}")
-                try:
-                    yield from bed.control.inject(
-                        bed.codeflow,
-                        make_stress_variant(v1, patch + 1),
-                        "ingress",
-                    )
-                except ReproError:
-                    continue
-                try:
-                    sandbox.run_hook("ingress", bytes(256))
-                except SandboxCrash:
-                    sandbox.crashed = False
-                yield sim.timeout(
-                    2.0 + plan.delay_us(f"scn.patch-gap:{patch}", 5.0)
+    def drive():
+        yield from bed.control.inject(bed.codeflow, v1, "ingress")
+        for patch in range(2):
+            injector.disarm()
+            injector.arm_from_plan(plan, f"fault.kind:patch{patch}")
+            try:
+                yield from bed.control.inject(
+                    bed.codeflow,
+                    make_stress_variant(v1, patch + 1),
+                    "ingress",
                 )
+            except ReproError:
+                continue
+            try:
+                sandbox.run_hook("ingress", bytes(256))
+            except SandboxCrash:
+                sandbox.crashed = False
+            yield sim.timeout(
+                2.0 + plan.delay_us(f"scn.patch-gap:{patch}", 5.0)
+            )
 
-        try:
-            sim.run_process(drive())
-            sim.run(until=sim.now + _SETTLE_US)
-        finally:
-            injector.detach()
+    try:
+        sim.run_process(drive())
+        sim.run(until=sim.now + _SETTLE_US)
     finally:
-        params.RDX_DELTA_DEPLOY = saved
+        injector.detach()
 
 
 def _drive_broadcast_8(sim, seed: int, plan: "SchedulePlan") -> None:
@@ -402,48 +397,43 @@ def _drive_delta_shard(sim, seed: int, plan: "SchedulePlan") -> None:
     from repro.ebpf.stress import make_stress_program, make_stress_variant
     from repro.exp.hb_schedules import sibling_sync
 
-    saved = params.RDX_DELTA_DEPLOY
-    params.RDX_DELTA_DEPLOY = True
-    try:
-        bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
-        sandbox = bed.sandboxes[0]
-        v1 = make_stress_program(400, seed=seed + 3, name="fzshard")
-        v2 = make_stress_variant(v1, 1)
-        sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
-        sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
-        record = bed.codeflow.deployed["fzshard"]
-        assert record.baseline_addr is not None
-        hook_addr = sandbox.hook_table.slot_addr("ingress")
+    bed = make_testbed(n_hosts=1, cores_per_host=4, seed=seed, sim=sim)
+    sandbox = bed.sandboxes[0]
+    v1 = make_stress_program(400, seed=seed + 3, name="fzshard")
+    v2 = make_stress_variant(v1, 1)
+    sim.run_process(bed.control.inject(bed.codeflow, v1, "ingress"))
+    sim.run_process(bed.control.inject(bed.codeflow, v2, "ingress"))
+    record = bed.codeflow.deployed["fzshard"]
+    assert record.baseline_addr is not None
+    hook_addr = sandbox.hook_table.slot_addr("ingress")
 
-        note = hb_events.txn_note(
-            publishes=(record.baseline_addr, record.code_len)
-        )
-        chunk_sync = sibling_sync(bed, sandbox)
-        sim.spawn(
-            _staggered(
-                sim, plan,
-                chunk_sync.write(
-                    record.baseline_addr + 256, b"\xd7" * 64,
-                    note={"txn": note["txn"]},
-                ),
-                "scn.chunk-start", 6.0,
+    note = hb_events.txn_note(
+        publishes=(record.baseline_addr, record.code_len)
+    )
+    chunk_sync = sibling_sync(bed, sandbox)
+    sim.spawn(
+        _staggered(
+            sim, plan,
+            chunk_sync.write(
+                record.baseline_addr + 256, b"\xd7" * 64,
+                note={"txn": note["txn"]},
             ),
-            name="fz-delta-chunk",
-        )
-        sim.spawn(
-            _staggered(
-                sim, plan,
-                bed.codeflow.sync.cas(
-                    hook_addr, record.code_addr, record.baseline_addr,
-                    note=note,
-                ),
-                "scn.delta-commit-start", 6.0,
+            "scn.chunk-start", 6.0,
+        ),
+        name="fz-delta-chunk",
+    )
+    sim.spawn(
+        _staggered(
+            sim, plan,
+            bed.codeflow.sync.cas(
+                hook_addr, record.code_addr, record.baseline_addr,
+                note=note,
             ),
-            name="fz-delta-commit",
-        )
-        sim.run(until=sim.now + _SETTLE_US)
-    finally:
-        params.RDX_DELTA_DEPLOY = saved
+            "scn.delta-commit-start", 6.0,
+        ),
+        name="fz-delta-commit",
+    )
+    sim.run(until=sim.now + _SETTLE_US)
 
 
 _ALL = (

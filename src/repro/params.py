@@ -103,37 +103,13 @@ RDX_PIPELINED_DEPLOY = os.environ.get("RDX_PIPELINED_DEPLOY", "1") not in (
     "0", "false", "no",
 )
 
-#: Master switch for the delta-deploy fast path: when the linked-image
-#: cache certifies an identical (arch, GOT-fingerprint) layout and the
-#: superseded image is still resident as a baseline, a redeploy ships
-#: only the MTU chunks that changed (trimmed to dirty cache lines) and
-#: flips the hook with the usual commit CAS.  A mutable module global
-#: like :data:`RDX_PIPELINED_DEPLOY` so the ablation bench can flip
-#: both arms inside one process; the environment sets only the default
-#: (``RDX_DELTA_DEPLOY=1`` to enable).  Requires the pipelined path.
-RDX_DELTA_DEPLOY = os.environ.get("RDX_DELTA_DEPLOY", "0") not in (
-    "0", "false", "no", "",
-)
-
-#: Break-even threshold for the delta path: a diff dirtying more than
-#: this many MTU chunks falls back to the full-image pipelined deploy.
+#: Break-even threshold for delta deploys: a redeploy whose diff
+#: dirties more than this many MTU chunks ships the full image instead.
 #: One chain of small WRs beats one big write only while the trimmed
 #: payload stays well under the image size; past ~half the image the
 #: per-WR overhead (RNIC_OP_OVERHEAD_US each side + chain bookkeeping)
 #: erases the bytes saved.
 RDX_DELTA_MAX_CHUNKS = int(os.environ.get("RDX_DELTA_MAX_CHUNKS", "8"))
-
-#: Master switch for the sim-kernel fast dispatch path: the inlined
-#: event loop in :meth:`repro.sim.core.Simulator.run` plus the
-#: allocation-trimmed poke/bootstrap events.  A mutable module global
-#: like :data:`RDX_PIPELINED_DEPLOY` so ``bench_scale`` can measure
-#: both arms in one process; the environment sets only the default
-#: (``RDX_SIM_FAST=0`` restores the pre-PR ``step()``-per-event loop).
-#: Both arms are semantically identical -- same event ordering, same
-#: tie-breaking -- only the constant factor differs.
-RDX_SIM_FAST = os.environ.get("RDX_SIM_FAST", "1") not in (
-    "0", "false", "no",
-)
 
 #: Master switch for tree broadcast: fan deploy legs out through a
 #: relay tree (already-updated sandboxes forward the chained WR list
@@ -170,14 +146,6 @@ RDX_BROADCAST_SHARDS = int(os.environ.get("RDX_BROADCAST_SHARDS", "4"))
 RDX_OBS_TARGET_LABELS = os.environ.get(
     "RDX_OBS_TARGET_LABELS", "0"
 ) not in ("0", "false", "no", "")
-
-#: Batched health sweep: ``HealthDetector.probe_all`` posts every
-#: heartbeat READ of a shard as one doorbell-batched sweep (no
-#: per-probe process, retry ladder, or span) instead of N independent
-#: probes.  ``RDX_HEALTH_BATCH_SWEEP=0`` restores per-target probes.
-RDX_HEALTH_BATCH_SWEEP = os.environ.get(
-    "RDX_HEALTH_BATCH_SWEEP", "1"
-) not in ("0", "false", "no")
 
 #: Master switch for happens-before race checking (:mod:`repro.hb`).
 #: When on, the RNIC / sync / sandbox layers emit ``hb.*`` trace

@@ -12,8 +12,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Generator, Optional
 
-from repro import params
-from repro.sim.core import Event, SimulationError, Simulator, Timeout
+from repro.sim.core import Event, SimulationError, Simulator
 
 
 class Resource:
@@ -154,37 +153,29 @@ class CPU:
             raise ValueError(f"negative CPU cost: {cost_us}")
         remaining = cost_us
         resource = self._resource
-        sim = self.sim
-        fast = params.RDX_SIM_FAST
         users = resource._users
         waiting = resource._waiting
         capacity = resource.capacity
         while True:
             slice_us = remaining if quantum_us is None else min(quantum_us, remaining)
-            if fast and not waiting and len(users) + resource._fast_claims < capacity:
-                # Uncontended fast path: a free core is claimed
-                # synchronously (a counter bump, no grant event)
-                # instead of bouncing a grant through the calendar.
-                # Capacity accounting is identical -- the claim holds
-                # the slot for the whole slice and later requesters
-                # queue behind it -- and no timestamp moves, so only
-                # same-time tie order can differ from the ablation
-                # arm.  At rack scale the grant hop is the single
-                # most-dispatched event class; eliding it nearly
-                # halves kernel work per slice.
+            if not waiting and len(users) + resource._fast_claims < capacity:
+                # Uncontended: a free core is claimed synchronously (a
+                # counter bump, no grant event) instead of bouncing a
+                # grant through the calendar.  Capacity accounting is
+                # unchanged -- the claim holds the slot for the whole
+                # slice and later requesters queue behind it.  At rack
+                # scale the grant hop would be the single
+                # most-dispatched event class.
                 resource._fast_claims += 1
                 grant = None
             else:
                 grant = resource.request(priority)
                 yield grant
             try:
-                if fast:
-                    # Bare-number yield: the process's reusable tick
-                    # carries the slice, skipping the per-slice
-                    # Timeout allocation (see sim.core._Tick).
-                    yield slice_us
-                else:
-                    yield Timeout(sim, slice_us)
+                # Bare-number yield: the process's reusable tick
+                # carries the slice, with no per-slice Timeout
+                # allocation (see sim.core._Tick).
+                yield slice_us
                 self.busy_us += slice_us
             finally:
                 if grant is None:

@@ -6,6 +6,8 @@ fixes it leans on: dropped WRs re-entering the retry loop and the
 empty batch costing nothing.
 """
 
+import hashlib
+
 import pytest
 
 from repro import params
@@ -20,11 +22,6 @@ from repro.hb import checker
 from repro.mem.layout import pack_qword
 
 INSNS = 400
-
-
-@pytest.fixture
-def delta_on(monkeypatch):
-    monkeypatch.setattr(params, "RDX_DELTA_DEPLOY", True)
 
 
 def _counter(bed, name, **labels):
@@ -50,7 +47,7 @@ def _chain(bed, n=3, seed=7, name="hotpatch"):
 
 
 class TestDeltaEngages:
-    def test_third_deploy_ships_delta(self, testbed, delta_on):
+    def test_third_deploy_ships_delta(self, testbed):
         r1, r2, r3 = _chain(testbed, 3)
         assert (r1.mode, r2.mode, r3.mode) == ("full", "full", "delta")
         # One-instruction edit: the edited insn and the trailing CRC
@@ -63,7 +60,7 @@ class TestDeltaEngages:
         assert _counter(testbed, "rdx.delta.fallback", reason="no-baseline") == 1
         assert _counter(testbed, "rdx.deploy.delta") == 1
 
-    def test_extents_ping_pong(self, testbed, delta_on):
+    def test_extents_ping_pong(self, testbed):
         r1, r2, r3, r4 = _chain(testbed, 4)
         # The delta writes into the baseline extent and flips to it, so
         # the two extents swap roles every generation.
@@ -71,7 +68,7 @@ class TestDeltaEngages:
         assert r3.code_addr == r1.code_addr
         assert r4.code_addr == r2.code_addr
 
-    def test_zero_diff_redeploy_is_metadata_only(self, testbed, delta_on):
+    def test_zero_diff_redeploy_is_metadata_only(self, testbed):
         _chain(testbed, 3)
         base = make_stress_program(INSNS, seed=7, name="hotpatch")
         # The diff base is the *baseline* -- the image superseded one
@@ -82,32 +79,94 @@ class TestDeltaEngages:
         assert again.delta_chunks == 0
         assert again.bytes_moved == 256  # just the descriptor
 
-    def test_flag_off_never_deltas(self, testbed, monkeypatch):
-        monkeypatch.setattr(params, "RDX_DELTA_DEPLOY", False)
-        reports = _chain(testbed, 3)
-        assert all(r.mode == "full" for r in reports)
-        assert _counter(testbed, "rdx.deploy.delta") == 0
-
-    def test_remote_image_matches_full_path(self, delta_on):
+    def test_remote_image_matches_full_path(self):
         """The delta-installed extent is byte-identical to a full
-        install of the same version, and decodes identically."""
+        install of the same version, and decodes identically.  The
+        reference deploys v1 then v3 on a fresh testbed: with no
+        baseline resident the planner ships v3 as a full image."""
         payload = bytes(range(256))
+        base = make_stress_program(INSNS, seed=7, name="hotpatch")
+        v3 = make_stress_variant(base, 2)
+        chains = {
+            "delta": [base, make_stress_variant(base, 1), v3],
+            "full": [base, v3],
+        }
         states = {}
-        for delta in (True, False):
-            params.RDX_DELTA_DEPLOY = delta
+        for mode, versions in chains.items():
             bed = make_testbed(n_hosts=1, cores_per_host=4)
-            report = _chain(bed, 3)[-1]
+            report = [_deploy(bed, v) for v in versions][-1]
+            assert report.mode == mode
             record = bed.codeflow.deployed["hotpatch"]
             image = bed.sim.run_process(
                 bed.codeflow.read_raw(report.code_addr, record.code_len)
             )
             execution, _ = bed.sandbox.run_hook("ingress", payload)
-            states[delta] = (image, execution.r0)
-        assert states[True] == states[False]
+            states[mode] = (image, execution.r0)
+        assert states["delta"] == states["full"]
+
+
+class TestPipelinedBodyGolden:
+    """Every deploy of a mixed full/delta hotpatch chain, pinned.
+
+    The goldens were taken from the two separate pipelined bodies
+    (full and delta) that the planner-driven body replaced, with delta
+    deploys enabled: each deploy's mode, wire bytes, dirty chunks,
+    extent and simulated latency, and the final image, must not move.
+    """
+
+    # (mode, bytes_moved, delta_chunks, code_addr, total_us)
+    GOLDEN = [
+        ("full", 4268, 0, 28672, 21.2420800000001),  # first-deploy
+        ("full", 4268, 0, 32704, 21.242079999999987),  # no-baseline
+        ("delta", 300, 1, 28672, 22.924639999999954),
+        ("delta", 300, 1, 32704, 22.92464000000018),
+        ("delta", 256, 0, 28672, 13.07111999999961),  # zero-diff
+        ("full", 4268, 0, 36736, 21.242079999999987),  # no-savings
+        ("full", 4328, 0, 40768, 21.246880000000147),  # size-changed
+        ("full", 4328, 0, 44864, 21.246880000000147),  # size-changed
+        ("delta", 296, 1, 40768, 22.92432000000008),
+    ]
+    IMAGE_SHA256 = (
+        "18d81ca49ff9e30f18543502b2ac1dec29220567f37f1ced98dd55458290a0eb"
+    )
+
+    def test_chain_matches_golden(self, testbed):
+        base = make_stress_program(INSNS, seed=7, name="hotpatch")
+        grown = make_stress_program(INSNS + 6, seed=7, name="hotpatch")
+        chain = [
+            base,
+            make_stress_variant(base, 1),
+            make_stress_variant(base, 2),
+            make_stress_variant(base, 3),
+            make_stress_variant(base, 2),
+            make_stress_program(INSNS, seed=99, name="hotpatch"),
+            grown,
+            make_stress_variant(grown, 1),
+            make_stress_variant(grown, 2),
+        ]
+        got = []
+        for program in chain:
+            r = _deploy(testbed, program)
+            got.append(
+                (r.mode, r.bytes_moved, r.delta_chunks, r.code_addr, r.total_us)
+            )
+        assert got == self.GOLDEN
+        record = testbed.codeflow.deployed["hotpatch"]
+        image = testbed.sim.run_process(
+            testbed.codeflow.read_raw(record.code_addr, record.code_len)
+        )
+        assert hashlib.sha256(image).hexdigest() == self.IMAGE_SHA256
+        assert {
+            dict(metric.labels)["reason"]: metric.value
+            for metric in testbed.obs.registry.series("rdx.delta.fallback")
+        } == {
+            "first-deploy": 1, "no-baseline": 1, "no-savings": 1,
+            "size-changed": 2,
+        }
 
 
 class TestFallbacks:
-    def test_past_break_even_falls_back(self, testbed, delta_on, monkeypatch):
+    def test_past_break_even_falls_back(self, testbed, monkeypatch):
         monkeypatch.setattr(params, "RDX_DELTA_MAX_CHUNKS", 0)
         r3 = _chain(testbed, 3)[-1]
         assert r3.mode == "full"
@@ -116,7 +175,7 @@ class TestFallbacks:
             == 1
         )
 
-    def test_unrelated_image_has_no_savings(self, testbed, delta_on):
+    def test_unrelated_image_has_no_savings(self, testbed):
         _chain(testbed, 3)
         # Same size, same layout, but almost every byte differs: the
         # trimmed spans cover the whole image, so shipping them as a
@@ -128,7 +187,7 @@ class TestFallbacks:
             _counter(testbed, "rdx.delta.fallback", reason="no-savings") == 1
         )
 
-    def test_size_change_falls_back(self, testbed, delta_on):
+    def test_size_change_falls_back(self, testbed):
         _chain(testbed, 3)
         grown = make_stress_program(INSNS + 6, seed=7, name="hotpatch")
         report = _deploy(testbed, grown)
@@ -139,7 +198,7 @@ class TestFallbacks:
 
 
 class TestBaselineLifetime:
-    def test_superseded_extent_stays_resident(self, testbed, delta_on):
+    def test_superseded_extent_stays_resident(self, testbed):
         """retain_history=False used to free the old extent at commit;
         it must stay allocated while registered as the diff baseline."""
         r1, _ = _chain(testbed, 2)
@@ -148,7 +207,7 @@ class TestBaselineLifetime:
         assert record.baseline_addr == r1.code_addr
         assert allocator.size_of(r1.code_addr) is not None
 
-    def test_cas_conflict_unwinds_and_heals(self, testbed, delta_on):
+    def test_cas_conflict_unwinds_and_heals(self, testbed):
         _chain(testbed, 3)
         codeflow = testbed.codeflow
         record = codeflow.deployed["hotpatch"]
@@ -182,7 +241,7 @@ class TestBaselineLifetime:
         assert _deploy(testbed, make_stress_variant(base, 5)).mode == "delta"
         checker.consume(testbed.sim)  # deliberate raw hook pokes above
 
-    def test_reboot_adopt_reseeds_baseline(self, testbed, delta_on):
+    def test_reboot_adopt_reseeds_baseline(self, testbed):
         """After a control-plane handover the reconciler's CRC readback
         re-learns the resident image; the first deploy ships full (the
         link layout is unknown) and the next one deltas again."""
@@ -274,7 +333,7 @@ class TestWriteBatchFaultPaths:
             == sync.retry.max_attempts
         )
 
-    def test_delta_rides_out_transient_fault(self, testbed, delta_on):
+    def test_delta_rides_out_transient_fault(self, testbed):
         """A flaky link during the delta's WR chain is absorbed by the
         retry policy: the deploy still commits as a delta."""
         _chain(testbed, 2)
@@ -293,7 +352,7 @@ class TestWriteBatchFaultPaths:
 
 
 class TestProvenance:
-    def test_journal_commit_records_delta_base(self, testbed, delta_on):
+    def test_journal_commit_records_delta_base(self, testbed):
         report = _chain(testbed, 3)[-1]
         commits = [
             record
@@ -307,7 +366,7 @@ class TestProvenance:
         assert deploy["chunks"] == report.delta_chunks
         assert deploy["bytes_moved"] == report.bytes_moved
 
-    def test_bytes_written_metric_counts_moved_bytes(self, testbed, delta_on):
+    def test_bytes_written_metric_counts_moved_bytes(self, testbed):
         r1, r2, r3 = _chain(testbed, 3)
         written = _counter(testbed, "rdx.deploy.bytes_written")
         assert written == r1.bytes_moved + r2.bytes_moved + r3.bytes_moved
@@ -315,7 +374,7 @@ class TestProvenance:
 
 
 class TestFaultCampaignDelta:
-    def test_campaign_hotpatch_rounds_ship_deltas(self, delta_on):
+    def test_campaign_hotpatch_rounds_ship_deltas(self):
         """The §4 invariants hold with every steady-state round on the
         delta path -- and deltas actually engage under the schedule."""
         result = run_fault_campaign(
@@ -325,9 +384,9 @@ class TestFaultCampaignDelta:
         assert result.delta_deploys > 0
         assert result.committed + result.aborts == result.rounds_run
 
-    def test_campaign_hotpatch_full_arm(self):
-        result = run_fault_campaign(
-            n_hosts=2, rounds=4, seed=1, hotpatch=True
-        )
+    def test_campaign_fresh_programs_ship_full(self):
+        """Rounds that deploy unrelated programs are past the planner's
+        break-even, so the same fault schedule runs on full deploys."""
+        result = run_fault_campaign(n_hosts=2, rounds=4, seed=1)
         assert result.stranded == 0
         assert result.delta_deploys == 0
