@@ -47,9 +47,11 @@ def test_bench_fig4b(benchmark):
             ["metric", "count", "p50", "p99", "max"],
             histo_rows,
             note=(
-                f"cache hit/miss: "
+                f"compiled hit/miss: "
                 f"{registry.counter('rdx.cache.hit').value:.0f}/"
-                f"{registry.counter('rdx.cache.miss').value:.0f}"
+                f"{registry.counter('rdx.cache.miss').value:.0f}; "
+                f"linked hits: "
+                f"{registry.counter('rdx.link.cache_hit').value:.0f}"
             ),
         )
     )

@@ -27,8 +27,11 @@ from repro import params
 from repro.ebpf.stress import make_stress_program
 from repro.exp.harness import format_table, make_testbed, write_bench_json
 
-#: Warm deploys timed per measurement (one testbed, cache hot).
-DEPLOYS = 60
+#: Warm deploys timed per measurement (one testbed, cache hot).  Sized
+#: so each timed window lasts at least ~250 ms even on the faster
+#: obs-off arm: at ~50 ms a window was short enough for scheduler noise
+#: on a 2-vCPU runner to push the median pair past the gate.
+DEPLOYS = 480
 #: Interleaved on/off measurement pairs (odd: the median is one pair).
 PAIRS = 7
 #: The gate: obs-on must stay within 15% of obs-off wall clock.

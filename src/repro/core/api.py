@@ -30,7 +30,7 @@ from repro.rdma.verbs import open_device
 from repro.sandbox.sandbox import Sandbox
 from repro.core.broadcast import CodeFlowGroup
 from repro.core.codeflow import CodeFlow
-from repro.core.control_plane import RdxControlPlane
+from repro.core.control_plane import RdxControlPlane, _target_maps
 from repro.core.security import Principal
 from repro.core.xstate import XStateSpec
 
@@ -84,19 +84,21 @@ def rdx_jit_compile_code(
 
 
 def rdx_link_code(handle: CodeFlow, program: BpfProgram) -> Generator:
-    """Link the program's cached binary to the remote context (Table 1).
+    """Link the program's compiled binary to the remote context (Table 1).
 
-    The program must have been compiled (``rdx_JIT_compile_code`` or
-    :meth:`RdxControlPlane.prepare`); returns the linked image.
+    A program the artifact store holds compiled for this target links
+    through the store.  Otherwise it is JIT-compiled here *without*
+    validation, so its image is linked but never stored: only a
+    validated compile may reach the linked stage that ``inject``
+    deploys from.  Returns the linked image.
     """
-    key = (program.tag(), handle.manifest.arch)
-    entry = handle.control_plane.registry.get(key)
-    if entry is None:
-        binary = yield from rdx_jit_compile_code(handle, program)
-    else:
-        binary = entry.binary
-    linked = yield from handle.link_code(binary)
-    return linked
+    store = handle.control_plane.artifacts
+    maps = _target_maps(handle, program, ())
+    entry = store.compiled.get(store.key(program, handle.manifest.arch, maps))
+    if entry is not None:
+        return (yield from handle.link_compiled(entry))
+    binary = yield from rdx_jit_compile_code(handle, program)
+    return (yield from handle.link_code(binary))
 
 
 def rdx_deploy_prog(

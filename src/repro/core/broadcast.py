@@ -278,12 +278,12 @@ class CodeFlowGroup:
             errors.append(err)
             return
         try:
-            # Pre-link while no bubble is up: warms the linked-image
-            # cache so the in-window deploy leg skips relocation
-            # rewriting *and* the stub rendezvous.  Best-effort -- a
-            # link error here re-surfaces inside the leg, where the
-            # per-target failure machinery owns it.
-            linked = yield from codeflow.link_code(entry.binary, parent_span=span)
+            # Pre-link while no bubble is up: fills the artifact
+            # store's linked stage so the in-window deploy leg skips
+            # relocation rewriting *and* the stub rendezvous.
+            # Best-effort -- a link error here re-surfaces inside the
+            # leg, where the per-target failure machinery owns it.
+            linked = yield from codeflow.link_compiled(entry, parent_span=span)
         except ReproError:
             pass
         else:
@@ -424,7 +424,7 @@ class CodeFlowGroup:
             tenant=tenant,
         ) as span:
             # Phase 0: make sure every program is validated + compiled
-            # *before* any bubble rises -- the registry's "validate once,
+            # *before* any bubble rises -- the artifact store's "validate once,
             # deploy anywhere" keeps compilation off the consistency
             # window entirely.  On the pipelined path the legs run
             # concurrently on the control plane's multi-core CPU pool;

@@ -66,8 +66,8 @@ class DeployReport:
     bytes_moved: int = 0
     #: Version of the baseline image the delta was diffed against.
     delta_base_version: int = 0
-    #: True when the image came out of the warm linked-image pool --
-    #: validate+JIT+link were all skipped (see :mod:`repro.serve`).
+    #: True when the image came out of the artifact store's linked
+    #: stage -- validate+JIT+link were all skipped.
     warm: bool = False
 
     def phases(self) -> dict[str, float]:
@@ -96,8 +96,8 @@ class DeployedProgram:
     #: rollback flip) -- what the next deploy diffs against once this
     #: extent becomes the baseline.
     image: Optional[bytes] = None
-    #: (arch, GOT-layout fingerprint) the image was linked under: the
-    #: part of the link-cache key a delta deploy must match.
+    #: (arch, GOT-layout fingerprint) the image was linked under: what
+    #: a delta deploy must find unchanged.
     layout: Optional[tuple] = None
     #: Superseded-but-resident extent kept alive as the delta diff
     #: base (None when no baseline is registered).
@@ -183,14 +183,14 @@ class CodeFlow:
         #: Tenant label stamped on this target's deploy metrics and
         #: trace roots (multi-tenant aggregation; "" = unowned).
         self.tenant = ""
-        #: True when the last :meth:`link_code` was served from the
-        #: control plane's linked-image cache -- the fast deploy path
-        #: then skips the stub rendezvous (the layout is already known).
+        #: True when the last image came out of the artifact store's
+        #: linked stage -- the fast deploy path then skips the stub
+        #: rendezvous (the layout is already known).
         self._last_link_cached = False
-        #: The cache key of the last :meth:`link_code` -- its
-        #: ``(arch, fingerprint)`` tail is what certifies a delta
-        #: deploy's layout assumption.  None when uncacheable.
-        self._last_link_key: Optional[tuple] = None
+        #: (arch, GOT fingerprint) of the last image linked or found
+        #: here -- what certifies a delta deploy's layout assumption.
+        #: None when the linked stage does not hold it.
+        self._last_layout: Optional[tuple] = None
         #: Extents retired by the previous generation, freed only once
         #: the *next* commit CAS is visible (no in-flight exec can
         #: still be decoding them by then).
@@ -281,49 +281,62 @@ class CodeFlow:
 
     # -- rdx_link_code -------------------------------------------------------
 
+    def find_linked(
+        self, key: tuple, parent_span: Optional[Span] = None
+    ) -> Generator:
+        """Probe the artifact store's linked stage for compiled ``key``.
+
+        Returns the image linked for this target's *current* layout,
+        or None on a miss -- and always on the serial arm, which never
+        reads the linked stage.  A hit lets the deploy body skip the
+        stub rendezvous: the layout is already known.
+        """
+        if not params.RDX_PIPELINED_DEPLOY:
+            return None
+        found = yield from self.control_plane.artifacts.lookup(
+            self, key, parent_span=parent_span
+        )
+        if found is None:
+            return None
+        self._last_link_cached = True
+        self._last_layout = found.layout
+        return found.linked
+
     def link_code(
-        self, binary: JitBinary, parent_span: Optional[Span] = None
+        self,
+        binary: JitBinary,
+        parent_span: Optional[Span] = None,
+        key: Optional[tuple] = None,
     ) -> Generator:
         """Link ``binary`` against this target; returns the linked image.
 
-        On the pipelined path the control plane's linked-image cache,
-        keyed by (code CRC, arch, GOT-layout fingerprint), skips the
-        per-relocation rewriting when this target resolves every symbol
-        to the same addresses a previous link did.  The fingerprint
-        covers the *resolved addresses*, not just the symbol names --
-        layout churn (e.g. address reuse after a warm reboot) must miss
-        rather than serve a stale image.
+        With ``key`` -- the compiled-stage key ``binary`` was stored
+        under -- the pipelined arm stores the result in the linked
+        stage for this target's GOT layout.  Without one (an
+        unvalidated binary) nothing is stored.
         """
         self._last_link_cached = False
         plane = self.control_plane
         with self.obs.span("rdx.link", parent=parent_span, target=self.sandbox.name):
-            key = (
-                self._link_cache_key(binary)
-                if params.RDX_PIPELINED_DEPLOY
-                else None
-            )
-            self._last_link_key = key
-            if key is not None:
-                cached = plane.linked_images.get(key)
-                if cached is not None:
-                    # LRU touch: dict ordering is the recency list.
-                    plane.linked_images[key] = plane.linked_images.pop(key)
-                    plane.link_cache_hits += 1
-                    self.obs.counter("rdx.link.cache_hit").inc()
-                    yield from plane.host.cpu.run(
-                        params.RDX_LINK_CACHE_LOOKUP_US
-                    )
-                    self._last_link_cached = True
-                    return cached
-                plane.link_cache_misses += 1
-                self.obs.counter("rdx.link.cache_miss").inc()
             linked, cost_us = self.linker.link(binary)
             yield from plane.host.cpu.run(cost_us)
-            if key is not None:
-                plane.linked_images[key] = linked
-                while len(plane.linked_images) > params.RDX_LINK_CACHE_CAP:
-                    del plane.linked_images[next(iter(plane.linked_images))]
+        stored = None
+        if key is not None and params.RDX_PIPELINED_DEPLOY:
+            stored = plane.artifacts.insert(self, key, binary, linked)
+        self._last_layout = stored.layout if stored is not None else None
         self.obs.histogram("rdx.link.cpu_us").observe(cost_us)
+        return linked
+
+    def link_compiled(
+        self, compiled, parent_span: Optional[Span] = None
+    ) -> Generator:
+        """The linked image of ``compiled`` (a CompiledArtifact) for
+        this target: a linked-stage hit, else a fresh link it stores."""
+        linked = yield from self.find_linked(compiled.key, parent_span)
+        if linked is None:
+            linked = yield from self.link_code(
+                compiled.binary, parent_span=parent_span, key=compiled.key
+            )
         return linked
 
     def layout_fingerprint(self, relocs) -> Optional[int]:
@@ -334,9 +347,7 @@ class CodeFlow:
         fresh link of the same image would produce identical bytes on
         this target -- and naturally changes when layout churns (e.g.
         address reuse after a warm reboot).  Returns ``None`` when a
-        symbol does not resolve.  Both the linked-image cache and the
-        warm pool key on this; the warm pool additionally recomputes it
-        at lookup time as its staleness check.
+        symbol does not resolve.
         """
         parts = []
         for kind, symbol in relocs:
@@ -348,27 +359,6 @@ class CodeFlow:
                 return None
             parts.append(f"{kind.value}:{symbol}={address:x}")
         return zlib.crc32(";".join(parts).encode()) & 0xFFFFFFFF
-
-    def _link_cache_key(self, binary: JitBinary) -> Optional[tuple]:
-        """(code CRC, arch, GOT-layout fingerprint) for the image cache.
-
-        Returns ``None`` when a symbol does not resolve -- the real
-        linker then raises its precise error -- or for an image with no
-        relocations worth caching.  The fingerprint hashes
-        ``kind:symbol=address`` for every relocation, so two targets
-        share a cache entry iff a fresh link would produce identical
-        bytes on both.
-        """
-        fingerprint = self.layout_fingerprint(
-            (reloc.kind, reloc.symbol) for reloc in binary.relocations
-        )
-        if fingerprint is None:
-            return None
-        # The image's trailing 4 bytes are its own CRC32; hashing the
-        # full image would therefore yield the CRC *residue* -- the
-        # same constant for every image -- so hash the payload only.
-        content = zlib.crc32(binary.code[:-4]) & 0xFFFFFFFF
-        return (content, binary.arch, fingerprint)
 
     # -- rdx_deploy_prog ------------------------------------------------------
 
@@ -685,7 +675,7 @@ class CodeFlow:
 
         Eligibility is conservative: the hook must already be owned by
         a record carrying a registered baseline whose layout
-        fingerprint matches the one :meth:`link_code` just produced,
+        fingerprint matches the one this image was linked or found under,
         the image size must be unchanged, and the diff must be under
         break-even.  Anything else returns None (with the reason
         counted in ``rdx.delta.fallback``) and the pipelined body ships
@@ -704,9 +694,9 @@ class CodeFlow:
             return fallback("first-deploy")
         if existing.baseline_addr is None or existing.baseline_image is None:
             return fallback("no-baseline")
-        key = self._last_link_key
-        if key is None or existing.layout is None or existing.layout != key[1:]:
-            # The link cache could not certify the (arch, GOT
+        layout = self._last_layout
+        if layout is None or existing.layout != layout:
+            # The artifact store could not certify the (arch, GOT
             # fingerprint) layout is unchanged: resolved addresses may
             # have moved, so a byte diff would be meaningless.
             return fallback("layout-changed")
@@ -781,7 +771,7 @@ class CodeFlow:
             metadata_slot=slot,
             version=version,
             image=image,
-            layout=self._last_link_key[1:] if self._last_link_key else None,
+            layout=self._last_layout,
         )
         if existing:
             # The superseded descriptor slot is reusable either way.
@@ -1026,10 +1016,10 @@ class CodeFlow:
         self._metadata_used.clear()
         self.deployed.clear()
         self._hook_owner.clear()
-        # Retired addresses and the last link key describe the wiped
+        # Retired addresses and the last layout describe the wiped
         # address space -- both are meaningless now.
         self._retired.clear()
-        self._last_link_key = None
+        self._last_layout = None
         self.epoch = 0
         self.sync.hb_epoch = None  # unknown until the next stamp_epoch
 

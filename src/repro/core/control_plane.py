@@ -5,25 +5,24 @@ JIT compilation, linking, state access -- onto a dedicated server,
 and drives targets exclusively through one-sided RDMA.
 
 Key property from §3.2: **validate once, deploy anywhere**.  The
-compile cache is keyed by (program tag, architecture); repeat
-deployments of a cached program skip both phases entirely, which is
-why RDX's injection path contains no verification or JIT cost
-(Fig 4b).
+artifact store (:mod:`repro.core.artifacts`) keeps every validated
+binary and every per-layout link of it; a repeat deployment of a
+stored program skips validate, JIT and link entirely, which is why
+RDX's injection path contains no verification or JIT cost (Fig 4b).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Generator, Optional, Sequence
 
 from repro import params
 from repro.errors import DeployError, SecurityError
-from repro.ebpf.jit import JitBinary, jit_compile
+from repro.ebpf.jit import jit_compile
 from repro.ebpf.loader import LocalLoader
 from repro.ebpf.maps import BpfMap
 from repro.ebpf.program import BpfProgram
-from repro.ebpf.verifier import MapGeometry, VerifierStats, verify
+from repro.ebpf.verifier import MapGeometry, verify
 from repro.net.topology import Host
 from repro.obs import drop_target_series, telemetry_of
 from repro.obs.spans import Span
@@ -31,22 +30,12 @@ from repro.rdma.mr import AccessFlags
 from repro.rdma.verbs import connect_qps, open_device
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.trace import TraceRecorder
+from repro.core.artifacts import ArtifactStore
 from repro.core.codeflow import CodeFlow
 from repro.core.journal import IntentJournal
 from repro.core.retry import RetryPolicy
 from repro.core.security import Principal, SecurityPolicy
 from repro.core.sync import RemoteSync
-
-
-@dataclass
-class RegistryEntry:
-    """One validated + compiled program in the filter/program registry."""
-
-    program: BpfProgram
-    arch: str
-    stats: VerifierStats
-    binary: JitBinary
-    deploy_count: int = 0
 
 
 class RdxControlPlane:
@@ -95,29 +84,18 @@ class RdxControlPlane:
         self._verbs = open_device(host)
         self._pd = self._verbs.alloc_pd()
         self._cq = self._verbs.create_cq()
-        #: (tag, arch) -> RegistryEntry; the §3.2 compile cache.
-        self.registry: dict[tuple[str, str], RegistryEntry] = {}
-        #: (tag, arch) -> in-flight compile event.  Single-flight dedup:
-        #: the first miss becomes the leader and everyone else waits on
-        #: its event instead of duplicating validate+JIT.
-        self._inflight: dict[tuple[str, str], object] = {}
-        #: (code CRC, arch, GOT-layout fingerprint) -> linked JitBinary.
-        #: Targets with identical layouts skip per-relocation rewriting
-        #: entirely (see :meth:`CodeFlow.link_code`).
-        self.linked_images: dict[tuple, JitBinary] = {}
-        #: Optional warm linked-image pool (installed by
-        #: :class:`repro.serve.DeployService`).  A warm hit resolves a
-        #: deploy to a pre-linked image by (tag, arch, GOT-layout
-        #: fingerprint) alone -- validate, JIT, *and* link are skipped.
-        self.warm_pool = None
+        #: The §3.2 cache: compiled and per-layout linked artifacts.
+        self.artifacts = ArtifactStore(self)
         self.codeflows: list[CodeFlow] = []
         self.validations_run = 0
         self.compiles_run = 0
-        self.cache_hits = 0
-        self.cache_evictions = 0
-        self.prepare_coalesced = 0
-        self.link_cache_hits = 0
-        self.link_cache_misses = 0
+
+    # Counters the store owns, read off the plane by benches and perfbench.
+    cache_hits = property(lambda self: self.artifacts.cache_hits)
+    cache_evictions = property(lambda self: self.artifacts.cache_evictions)
+    prepare_coalesced = property(lambda self: self.artifacts.prepare_coalesced)
+    link_cache_hits = property(lambda self: self.artifacts.hits)
+    link_cache_misses = property(lambda self: self.artifacts.misses)
 
     # -- incarnation lifecycle -------------------------------------------------
 
@@ -284,7 +262,7 @@ class RdxControlPlane:
         self.compiles_run += 1
         return binary
 
-    # -- registry (validate once, deploy anywhere) ------------------------------------
+    # -- the compiled stage (validate once, deploy anywhere) ---------------------
 
     def prepare(
         self,
@@ -295,56 +273,12 @@ class RdxControlPlane:
         principal: Optional[Principal] = None,
         parent_span: Optional[Span] = None,
     ) -> Generator:
-        """Validate + compile with caching; returns a RegistryEntry.
-
-        Concurrent misses on one key coalesce: the first caller runs
-        validate+JIT (the *leader*); everyone else parks on the
-        in-flight event and receives the same entry -- N parallel
-        injects of one program cost exactly one compile.  The registry
-        used to be written only after the compile generator finished,
-        so two concurrent misses both paid the full pipeline.  A
-        leader failure propagates to every waiter (same error a solo
-        caller would see) and clears the in-flight slot so a later
-        retry can compile fresh.
-        """
-        key = (program.tag(), arch)
-        entry = self.registry.get(key)
-        if entry is not None:
-            self.cache_hits += 1
-            self.obs.counter("rdx.cache.hit").inc()
-            # LRU touch: dict ordering doubles as the recency list.
-            self.registry[key] = self.registry.pop(key)
-            return entry
-        pending = self._inflight.get(key)
-        if pending is not None:
-            self.prepare_coalesced += 1
-            self.obs.counter("rdx.prepare.coalesced").inc()
-            entry = yield pending
-            return entry
-        self.obs.counter("rdx.cache.miss").inc()
-        done = self.sim.event()
-        self._inflight[key] = done
-        try:
-            stats = yield from self.validate_code(
-                program, maps, ctx_size=ctx_size, principal=principal,
-                parent_span=parent_span,
-            )
-            binary = yield from self.jit_compile_code(
-                program, arch=arch, principal=principal, parent_span=parent_span
-            )
-        except BaseException as err:
-            self._inflight.pop(key, None)
-            done.fail(err)
-            raise
-        entry = RegistryEntry(program=program, arch=arch, stats=stats, binary=binary)
-        self.registry[key] = entry
-        while len(self.registry) > params.RDX_REGISTRY_CAP:
-            victim = next(iter(self.registry))
-            del self.registry[victim]
-            self.cache_evictions += 1
-            self.obs.counter("rdx.cache.evict").inc()
-        self._inflight.pop(key, None)
-        done.succeed(entry)
+        """Validate + compile through the artifact store's compiled
+        stage (single flight, LRU); returns a CompiledArtifact."""
+        entry = yield from self.artifacts.compile(
+            program, maps, arch=arch, ctx_size=ctx_size, principal=principal,
+            parent_span=parent_span,
+        )
         return entry
 
     def prepare_for(
@@ -355,18 +289,10 @@ class RdxControlPlane:
         principal: Optional[Principal] = None,
         parent_span: Optional[Span] = None,
     ) -> Generator:
-        """``prepare`` with map geometry resolved against one target.
-
-        Geometry comes from the XStates already deployed on the
-        target (the ext_spec of rdx_create_codeflow) when the caller
-        does not supply live maps.
-        """
-        if not maps and getattr(program, "map_names", ()):
-            maps = [
-                _geometry_proxy(codeflow, name) for name in program.map_names
-            ]
+        """``prepare`` with map geometry resolved against one target."""
         entry = yield from self.prepare(
-            program, maps, arch=codeflow.manifest.arch, principal=principal,
+            program, _target_maps(codeflow, program, maps),
+            arch=codeflow.manifest.arch, principal=principal,
             parent_span=parent_span,
         )
         return entry
@@ -413,40 +339,36 @@ class RdxControlPlane:
                 "rdx.inject", parent=parent_span,
                 program=program.name, target=codeflow.sandbox.name,
             ) as span:
-                # Warm path: a pool hit hands back a pre-linked image
-                # certified (by re-fingerprinting its relocations) to
-                # be byte-correct for this target's current layout --
-                # validate+JIT+link never run, and the deploy rides the
-                # pipelined chain directly.
-                linked = None
-                if self.warm_pool is not None and params.RDX_PIPELINED_DEPLOY:
-                    linked = yield from self.warm_pool.lookup(
-                        codeflow, program, parent_span=span
-                    )
-                link_us = 0.0
+                # Linked-stage probe first: a hit is an image linked
+                # from a validated compile for this exact map geometry,
+                # re-certified against the target's live layout, so
+                # validate, JIT and link never run.  The probe is the
+                # deploy's link phase.
+                maps = _target_maps(codeflow, program, maps)
+                arch = codeflow.manifest.arch
+                mark = self.sim.now
+                linked = yield from codeflow.find_linked(
+                    self.artifacts.key(program, arch, maps), parent_span=span
+                )
+                link_us = self.sim.now - mark
                 if linked is None:
-                    entry = yield from self.prepare_for(
-                        codeflow, program, maps=maps, principal=principal,
+                    entry = yield from self.prepare(
+                        program, maps, arch=arch, principal=principal,
                         parent_span=span,
                     )
-                    if txn is not None:
-                        self.journal.phase(txn, "prepared")
+                if txn is not None:
+                    self.journal.phase(txn, "prepared")
+                if linked is None:
                     mark = self.sim.now
                     linked = yield from codeflow.link_code(
-                        entry.binary, parent_span=span
+                        entry.binary, parent_span=span, key=entry.key
                     )
                     link_us = self.sim.now - mark
-                elif txn is not None:
-                    self.journal.phase(txn, "prepared")
                 report = yield from codeflow.deploy_prog(
                     program, linked, hook_name, retain_history=retain_history,
                     parent_span=span, fenced=fenced,
                 )
                 report.warm = entry is None
-                if entry is not None and self.warm_pool is not None:
-                    # Cold deploy completed: let the pool count the
-                    # (tag, arch, layout) and admit it once popular.
-                    self.warm_pool.note_deploy(program, codeflow, entry.binary)
         except BaseException as err:
             if txn is not None and not self.crashed:
                 self.journal.abort(txn, reason=str(err))
@@ -477,8 +399,6 @@ class RdxControlPlane:
             self.obs.flight.note_metrics(self.obs.registry)
         report.link_us = link_us
         report.total_us += link_us
-        if entry is not None:
-            entry.deploy_count += 1
         return report
 
     # -- teardown ----------------------------------------------------------------
@@ -507,22 +427,25 @@ class RdxControlPlane:
         )
 
 
-class _GeometryOnly:
-    """Stand-in carrying just the key/value sizes the verifier needs."""
+def _target_maps(
+    codeflow: CodeFlow, program: BpfProgram, maps: Sequence[BpfMap]
+) -> Sequence:
+    """``maps``, or when the caller supplies none, the geometry of the
+    XStates already deployed on the target (the ext_spec of
+    rdx_create_codeflow) for every map the program names."""
+    if maps or not program.map_names:
+        return maps
+    return [_geometry_proxy(codeflow, name) for name in program.map_names]
 
-    def __init__(self, key_size: int, value_size: int):
-        self.key_size = key_size
-        self.value_size = value_size
 
-
-def _geometry_proxy(codeflow: CodeFlow, name: str) -> _GeometryOnly:
+def _geometry_proxy(codeflow: CodeFlow, name: str) -> MapGeometry:
     handle = codeflow.scratchpad.by_name(name)
     if handle is not None:
-        return _GeometryOnly(handle.spec.key_size, handle.spec.value_size)
+        return MapGeometry(handle.spec.key_size, handle.spec.value_size)
     symbol = codeflow.sandbox.got.lookup(name)
     if symbol is not None and 0 <= symbol.token < len(codeflow.sandbox.maps):
         live = codeflow.sandbox.maps[symbol.token]
-        return _GeometryOnly(live.key_size, live.value_size)
+        return MapGeometry(live.key_size, live.value_size)
     raise DeployError(
         f"program references map {name!r} but no XState of that name is "
         f"deployed on {codeflow.sandbox.name} (deploy_xstate first)"

@@ -5,7 +5,7 @@ instructions, RDX reduces injection completion time by 47x-1982x,
 mainly by removing verification + JIT from the injection path (§6).
 
 We deploy each size repeatedly through (a) a node agent and (b) a
-CodeFlow with a warm registry ("validate once, deploy anywhere"), and
+CodeFlow with a warm artifact store ("validate once, deploy anywhere"), and
 report mean completion time plus the speedup.
 """
 
@@ -73,7 +73,7 @@ def run_fig4a(
                 )
                 agent_times.append(breakdown.total_us)
 
-            # Warm the registry once (validate-once), then measure the
+            # Warm the artifact store once (validate-once), then measure the
             # repeat-deploy path the paper's 100K-iteration loop measures.
             bed.sim.run_process(
                 bed.control.inject(

@@ -52,7 +52,7 @@ def run_fig4b(
 
     agent_breakdown = bed.sim.run_process(bed.agent.inject(program, "ingress"))
 
-    # Warm the registry, then measure the deploy path.
+    # Warm the artifact store, then measure the deploy path.
     bed.sim.run_process(
         bed.control.inject(bed.codeflow, program, "egress", retain_history=False)
     )

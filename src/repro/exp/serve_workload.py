@@ -6,13 +6,13 @@ completions -- overload shows up as counted shedding, not as a
 slowed-down generator):
 
 * **hot-patch** tenants re-deploy small variants of a shared pool of
-  popular programs -- the warm pool's bread and butter;
+  popular programs -- the warm path's bread and butter;
 * **bulk** tenants roll large programs, each tenant reusing its own;
 * **cold** tenants deploy never-seen-before programs every time, so
   each one pays the full validate+JIT+link pipeline.
 
 The result separates *service* latency (dequeue to install-visible) by
-warm/cold so the warm pool's skip-the-pipeline win is measurable
+warm/cold so the warm path's skip-the-pipeline win is measurable
 independently of queueing, alongside sustained deploys/sec, exact p50/
 p95/p99 end-to-end latency per class, and the full shed ledger.
 """
@@ -207,8 +207,8 @@ def run_serve_workload(
     per_class: dict[str, list] = {}
     for ticket in done:
         per_class.setdefault(ticket.class_name, []).append(ticket.latency_us)
-    # Warm/cold split on *service* latency: the hot pool rides the warm
-    # pool (report.warm), the cold stream pays validate+JIT+link.
+    # Warm/cold split on *service* latency: the hot pool rides the
+    # linked stage (report.warm), the cold stream pays validate+JIT+link.
     warm_service = [
         t.service_us for t in done if t.report is not None and t.report.warm
     ]

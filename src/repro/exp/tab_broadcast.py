@@ -52,7 +52,7 @@ def run_tab_broadcast(
             make_stress_program(insn_size, seed=i + 3, name=f"bcast{i}")
             for i in range(n)
         ]
-        # Warm the registry: validate/compile each program once.
+        # Warm the compiled stage: validate/compile each program once.
         for program, codeflow in zip(programs, bed.codeflows):
             bed.sim.run_process(
                 bed.control.prepare(program, arch=codeflow.manifest.arch)

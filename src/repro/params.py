@@ -79,9 +79,9 @@ HEALTH_PROBE_INTERVAL_US = 5_000.0
 HEALTH_SUSPECT_MISSES = 1
 HEALTH_DEAD_MISSES = 3
 
-#: Max (tag, arch) entries the control plane's compile cache retains.
-#: LRU beyond this: long-lived reconciler loops touch many one-off
-#: programs and must not grow the registry without bound.
+#: Max entries the artifact store's compiled stage retains.  LRU
+#: beyond this: long-lived reconciler loops touch many one-off
+#: programs and must not grow the store without bound.
 RDX_REGISTRY_CAP = 128
 
 # --------------------------------------------------------------------
@@ -210,37 +210,21 @@ RDX_SCRAPE_RETRY_US = 1.0
 #: cost of one registry lookup + one WQE-list build.
 RDX_DISPATCH_FAST_US = 3.0
 
-#: Linked-image cache lookup/insert bookkeeping on the control plane,
-#: us.  One dict probe over a precomputed fingerprint.
+#: Linked-stage hit on the control plane, us: one dict probe plus
+#: re-fingerprinting the entry's relocations against the target's
+#: live layout (the certification that makes a hit byte-correct).
 RDX_LINK_CACHE_LOOKUP_US = 0.2
 
-#: Max entries the control plane's linked-image cache retains (LRU).
-#: Keyed by (code CRC, arch, GOT-layout fingerprint); one entry per
+#: Max entries the artifact store's linked stage retains (LRU).  Keyed
+#: by (compiled key, GOT-layout fingerprint): one entry per program per
 #: distinct target layout, so this bounds memory on heterogeneous
-#: fleets.
-RDX_LINK_CACHE_CAP = 256
+#: fleets.  Four times the compiled stage's cap, so a broadcast that
+#: overflows the compiled stage still deploys from the linked one.
+RDX_LINKED_CAP = 512
 
 # --------------------------------------------------------------------
 # Multi-tenant deploy service (serve/)
 # --------------------------------------------------------------------
-
-#: Max entries the warm linked-image pool retains (LRU).  Keyed by
-#: (program tag, arch, GOT-layout fingerprint) -- one entry per popular
-#: extension per distinct target layout, so this bounds control-plane
-#: memory the same way :data:`RDX_LINK_CACHE_CAP` does.
-RDX_WARM_POOL_CAP = int(os.environ.get("RDX_WARM_POOL_CAP", "512"))
-
-#: Cold deploys of one (tag, arch, layout) before the pool admits it.
-#: 1 = admit on first sight; higher values reserve pool slots for
-#: genuinely popular extensions.
-RDX_WARM_POOL_ADMIT_DEPLOYS = int(
-    os.environ.get("RDX_WARM_POOL_ADMIT_DEPLOYS", "1")
-)
-
-#: Warm-pool probe cost on the control plane, us: one index lookup
-#: plus re-fingerprinting the entry's relocations against the target's
-#: current layout (the certification that makes a hit byte-correct).
-RDX_WARM_POOL_LOOKUP_US = 0.3
 
 #: Deploy executors a :class:`repro.serve.DeployService` runs -- the
 #: service's concurrency, and the QoS wire width underneath it.

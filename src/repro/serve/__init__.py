@@ -1,9 +1,9 @@
 """Multi-tenant deploy service (paper §7 as a serving system).
 
 A service tier in front of the control plane: priority-classed
-tenants, bounded admission with counted load-shedding, a warm
-linked-image pool that serves popular extensions pre-linked, and an
-agentless telemetry segment for the whole thing.
+tenants, bounded admission with counted load-shedding, and an
+agentless telemetry segment for the whole thing.  Repeat extensions
+ride the control plane's artifact store pre-linked.
 """
 
 from repro.serve.admission import (
@@ -26,7 +26,6 @@ from repro.serve.segment import (
 )
 from repro.serve.service import DeployService
 from repro.serve.tenants import PriorityClass, TenantDirectory, default_classes
-from repro.serve.warmpool import WarmImage, WarmLinkedImagePool
 
 __all__ = [
     "AdmissionController",
@@ -45,8 +44,6 @@ __all__ = [
     "SHED_UNKNOWN_TENANT",
     "ServeSegment",
     "TenantDirectory",
-    "WarmImage",
-    "WarmLinkedImagePool",
     "default_classes",
     "scrape_serve",
 ]

@@ -2,7 +2,7 @@
 
 The PR-6 telemetry plane made *sandboxes* scrapeable without agents:
 a seqlock-bracketed segment in registered memory, read one-sided.
-The deploy service gets the same treatment -- warm-pool hit/miss/
+The deploy service gets the same treatment -- linked-stage hit/miss/
 evict, admission accept, and every shed reason live in a fixed-layout
 segment carved from the control host's DRAM, updated write-through by
 the service's local stores and readable by an external monitor with
@@ -32,9 +32,9 @@ from repro.obs.segment import (
 
 #: Monotonic serving counters (u64 each).
 SERVE_COUNTER_SLOTS = (
-    "warm.hit",            # warm-pool lookups served pre-linked
-    "warm.miss",           # warm-pool lookups that fell to the cold path
-    "warm.evict",          # LRU/invalidation evictions from the pool
+    "warm.hit",            # linked-stage lookups served pre-linked
+    "warm.miss",           # linked-stage lookups that fell to the cold path
+    "warm.evict",          # LRU evictions from the linked stage
     "admit.accept",        # requests admitted into a class queue
     "shed.queue_full",     # rejected: class queue at depth
     "shed.tenant_quota",   # rejected: per-tenant pending cap

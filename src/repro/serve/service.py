@@ -5,9 +5,9 @@ service*): tenants submit deploys to a :class:`DeployService`; the
 admission controller queues or sheds them; a fixed pool of worker
 processes drains the queues in strict priority order and executes
 each deploy through the :class:`~repro.core.qos.QosScheduler` (tenant
-rate + wire priority) and the control plane -- where the warm
-linked-image pool intercepts popular extensions before validate+JIT+
-link ever run.
+rate + wire priority) and the control plane -- whose artifact store
+serves a repeat extension pre-linked before validate+JIT+link ever
+run.
 
 Two intake modes:
 
@@ -40,19 +40,17 @@ from repro.serve.admission import (
 )
 from repro.serve.segment import ServeSegment
 from repro.serve.tenants import TenantDirectory, default_classes
-from repro.serve.warmpool import WarmLinkedImagePool
 from repro.sim.resources import Resource
 
 
 class DeployService:
-    """Admission + queues + workers + warm pool over one control plane."""
+    """Admission + queues + workers over one control plane."""
 
     def __init__(
         self,
         control_plane: RdxControlPlane,
         classes=None,
         workers: Optional[int] = None,
-        warm_pool: Optional[WarmLinkedImagePool] = None,
         with_segment: bool = True,
     ):
         self.control = control_plane
@@ -74,12 +72,10 @@ class DeployService:
         self.admission = AdmissionController(
             self.sim, classes, segment=self.segment
         )
-        self.warm_pool = warm_pool or WarmLinkedImagePool(
-            control_plane, segment=self.segment
-        )
-        if self.warm_pool.segment is None:
-            self.warm_pool.segment = self.segment
-        self.warm_pool.attach()
+        #: The control plane's artifact store: its linked stage is the
+        #: warm path, mirrored into this service's segment as ``warm.*``.
+        self.warm_pool = control_plane.artifacts
+        self.warm_pool.segment = self.segment
         #: Deploys to one target serialize (hook CAS safety); the lock
         #: is priority-aware so a hotpatch overtakes queued bulk work
         #: even at the per-target gate.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import params
 from repro.errors import DeployError, SecurityError, XStateError
 from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import BpfMap, MapType
@@ -31,13 +32,15 @@ class TestDeploy:
         testbed.sim.run()
         assert testbed.host.cpu.busy_us == before
 
-    def test_compile_cache_hit_on_redeploy(self, testbed):
+    def test_compile_cache_hit_on_redeploy(self, testbed, monkeypatch):
+        monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", True)
         program = make_stress_program(200, seed=4)
         inject(testbed, program)
         validations = testbed.control.validations_run
         inject(testbed, program)
         assert testbed.control.validations_run == validations
-        assert testbed.control.cache_hits >= 1
+        # Served whole by the artifact store: a linked-stage hit.
+        assert testbed.control.artifacts.hits >= 1
 
     def test_replace_updates_hook(self, testbed):
         v1 = make_stress_program(100, seed=1, name="ext")
@@ -253,7 +256,11 @@ class TestControlPlane:
         bed.sim.run_process(
             bed.control.inject(bed.codeflows[1], program, "ingress")
         )
-        assert (program.tag(), "x86_64") in bed.control.registry
-        assert (program.tag(), "arm64") in bed.control.registry
+        compiled = {
+            (entry.program.tag(), entry.arch)
+            for entry in bed.control.artifacts.compiled.values()
+        }
+        assert (program.tag(), "x86_64") in compiled
+        assert (program.tag(), "arm64") in compiled
         result, _ = bed.sandboxes[1].run_hook("ingress", bytes(256))
         assert result is not None

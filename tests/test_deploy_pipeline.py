@@ -20,6 +20,7 @@ import pytest
 from repro import params
 from repro.core.faults import FaultInjector, FaultKind
 from repro.core.xstate import XStateSpec
+from repro.ebpf.interpreter import Interpreter
 from repro.ebpf.maps import MapType
 from repro.ebpf.stress import make_stress_program
 from repro.errors import RdmaError, TransientFault
@@ -263,26 +264,33 @@ class TestLinkedImageCache:
         params.RDX_PIPELINED_DEPLOY = saved
 
     def test_distinct_programs_get_distinct_keys(self, testbed):
-        """Regression: keys must hash the payload, not the full image.
+        """Regression: two programs must never share a stored image.
 
         Every JIT image ends with its own CRC32 trailer, and
         crc32(data + crc32(data)) is the same residue constant for any
-        data -- hashing the full image once collapsed all cache keys
-        onto one entry and served v1's bytes for v2.
+        data -- keying linked images on a CRC of the full image once
+        collapsed every entry onto one and served v1's bytes for v2.
+        The store's keys start from the program tag instead.
         """
         bed = testbed
         codeflow = bed.codeflow
-        entries = [
-            bed.sim.run_process(
-                bed.control.prepare_for(
-                    codeflow, make_stress_program(600, seed=seed, name="app")
-                )
-            )
-            for seed in (5, 6)
+        programs = [
+            make_stress_program(600, seed=seed, name="app") for seed in (5, 6)
         ]
-        keys = [codeflow._link_cache_key(e.binary) for e in entries]
-        assert keys[0] != keys[1]
-        assert keys[0][0] != keys[1][0]  # the content CRC itself differs
+        for program in programs:
+            bed.sim.run_process(bed.control.inject(codeflow, program, "ingress"))
+        store = bed.control.artifacts
+        assert len(store.compiled) == 2
+        images = [artifact.linked.code for artifact in store.linked.values()]
+        assert len(images) == 2 and images[0] != images[1]
+        # Redeploying v1 is a linked hit that runs v1, not v2.
+        report = bed.sim.run_process(
+            bed.control.inject(codeflow, programs[0], "ingress")
+        )
+        assert report.warm
+        ctx = bytes(256)
+        result, _ = bed.sandbox.run_hook("ingress", ctx)
+        assert result.r0 == Interpreter().run(programs[0].insns, ctx).r0
 
     def test_second_target_hits_cache(self, testbed2):
         bed = testbed2

@@ -7,6 +7,7 @@ instrumentation honest as the pipeline evolves.
 
 import pytest
 
+from repro import params
 from repro.core.broadcast import CodeFlowGroup
 from repro.core.introspect import RemoteIntrospector
 from repro.ebpf.stress import make_stress_program
@@ -25,15 +26,21 @@ def _counter_value(registry, name, **labels):
 
 
 class TestDeployInstrumentation:
-    def test_cold_then_warm_deploy_moves_cache_counters(self, bed):
+    def test_cold_then_warm_deploy_moves_cache_counters(self, bed, monkeypatch):
+        monkeypatch.setattr(params, "RDX_PIPELINED_DEPLOY", True)
         program = make_stress_program(1_300, seed=3)
         bed.sim.run_process(bed.control.inject(bed.codeflow, program, "ingress"))
         registry = bed.obs.registry
         assert registry.counter("rdx.cache.miss").value == 1
         assert registry.counter("rdx.cache.hit").value == 0
+        assert registry.counter("rdx.link.cache_miss", reason="absent").value == 1
+        assert registry.counter("rdx.link.cache_hit").value == 0
         bed.sim.run_process(bed.control.inject(bed.codeflow, program, "ingress"))
+        # The warm redeploy is a linked-stage hit: the compiled stage
+        # is never consulted.
         assert registry.counter("rdx.cache.miss").value == 1
-        assert registry.counter("rdx.cache.hit").value == 1
+        assert registry.counter("rdx.cache.hit").value == 0
+        assert registry.counter("rdx.link.cache_hit").value == 1
 
     def test_deploy_feeds_latency_histogram(self, bed):
         program = make_stress_program(1_300, seed=3)

@@ -1,7 +1,7 @@
 """Tests for the multi-tenant deploy service (repro.serve).
 
-Covers the warm linked-image pool (hit semantics, warm-reboot
-invalidation, LRU, prewarm), admission control (every shed reason
+Covers the warm path -- the control plane's artifact store (hit
+semantics, warm-reboot invalidation, LRU, prewarm) -- admission control (every shed reason
 counted, backpressure, the no-silent-drops ledger), the serve
 telemetry segment (one-sided scrape, torn retry, zero service CPU),
 and the QoS satellites: atomic token-bucket reservation and snapshot
@@ -30,7 +30,6 @@ from repro.serve import (
     SHED_UNKNOWN_TENANT,
     DeployService,
     PriorityClass,
-    WarmLinkedImagePool,
     default_classes,
     scrape_serve,
 )
@@ -134,23 +133,20 @@ class TestQosReporting:
 
 
 # ---------------------------------------------------------------------------
-# The warm linked-image pool
+# The warm path: the artifact store's linked stage
 # ---------------------------------------------------------------------------
 
 
-def _service(bed, classes=None, workers=2, **pool_kwargs):
-    pool = WarmLinkedImagePool(bed.control, **pool_kwargs)
-    service = DeployService(
-        bed.control, classes=classes, workers=workers, warm_pool=pool
-    )
-    return service
+def _service(bed, classes=None, workers=2):
+    return DeployService(bed.control, classes=classes, workers=workers)
 
 
 class TestWarmPool:
     def test_second_deploy_is_a_warm_hit(self, testbed):
-        """Popularity admission: cold deploy #1 admits, #2 rides warm."""
+        """Cold deploy #1 stores the linked image, #2 rides warm."""
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        plane = bed.control
+        pool = plane.artifacts
         program = make_stress_program(300, seed=3)
 
         def timed():
@@ -163,22 +159,26 @@ class TestWarmPool:
         cold_us, cold = bed.sim.run_process(timed())
         assert not cold.warm
         assert len(pool) == 1
-        link_hits = bed.control.link_cache_hits
-        registry_hits = bed.control.cache_hits
+        compile_lookups = (
+            plane.cache_hits, plane.prepare_coalesced, plane.compiles_run
+        )
+        links = bed.codeflow.linker.links_done
         warm_us, warm = bed.sim.run_process(timed())
         assert warm.warm
         assert pool.hits == 1
-        # The whole cold pipeline was skipped: neither prepare's
-        # registry nor the link cache saw any traffic.
-        assert bed.control.link_cache_hits == link_hits
-        assert bed.control.cache_hits == registry_hits
+        # The whole cold pipeline was skipped: no compile-stage lookup
+        # and no relocation work.
+        assert (
+            plane.cache_hits, plane.prepare_coalesced, plane.compiles_run
+        ) == compile_lookups
+        assert bed.codeflow.linker.links_done == links
         # And end to end (validate+JIT+link avoided) it is far cheaper.
         assert warm_us * 2 < cold_us
 
     def test_warm_hit_preserves_execution(self, testbed):
         """A warm image must run; a content change must never hit."""
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        pool = bed.control.artifacts
         program = make_stress_program(200, seed=11)
         bed.sim.run_process(
             bed.control.inject(bed.codeflow, program, "ingress")
@@ -188,7 +188,7 @@ class TestWarmPool:
         )
         assert report.warm
         assert bed.sandbox.run_hook("ingress", b"\x00" * 256) is not None
-        # The pool key is the program *tag* -- a content hash -- so a
+        # The store key starts with the program *tag* -- a content hash -- so a
         # patched variant (same name, different imm) can never be
         # served stale bytes: it misses and takes the cold path.
         patched = make_stress_variant(program, 7, name=program.name)
@@ -209,7 +209,7 @@ class TestWarmPool:
         """
         bed = testbed
         codeflow = bed.codeflow
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
+        pool = bed.control.artifacts
         program = make_stress_program(600, seed=5, with_map=True,
                                       name="mapper")
         decoy = XStateSpec("decoy", MapType.ARRAY, 4, 8, 4)
@@ -231,16 +231,17 @@ class TestWarmPool:
         )
         assert not report.warm
         assert pool.miss_reasons.get("layout-changed") == 1
-        # The re-linked post-reboot image was admitted alongside; a
+        # The re-linked post-reboot image was stored alongside; a
         # redeploy on the *new* layout is warm again.
         report = bed.sim.run_process(
             bed.control.inject(codeflow, program, "ingress")
         )
         assert report.warm
 
-    def test_lru_eviction_at_cap(self, testbed):
+    def test_lru_eviction_at_cap(self, testbed, monkeypatch):
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control, cap=2, admit_after=1).attach()
+        monkeypatch.setattr(params, "RDX_LINKED_CAP", 2)
+        pool = bed.control.artifacts
         programs = [
             make_stress_program(200, seed=20 + i, name=f"evict{i}")
             for i in range(3)
@@ -259,7 +260,7 @@ class TestWarmPool:
 
     def test_prewarm_makes_first_deploy_warm(self, testbed):
         bed = testbed
-        pool = WarmLinkedImagePool(bed.control).attach()
+        pool = bed.control.artifacts
         program = make_stress_program(300, seed=9)
         assert bed.sim.run_process(pool.prewarm(bed.codeflow, program))
         report = bed.sim.run_process(
@@ -267,17 +268,6 @@ class TestWarmPool:
         )
         assert report.warm
         assert pool.hits == 1
-
-    def test_invalidate_counts_evictions(self, testbed):
-        bed = testbed
-        pool = WarmLinkedImagePool(bed.control, admit_after=1).attach()
-        program = make_stress_program(200, seed=13)
-        bed.sim.run_process(
-            bed.control.inject(bed.codeflow, program, "ingress")
-        )
-        assert pool.invalidate(tag=program.tag()) == 1
-        assert pool.evictions == 1
-        assert len(pool) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +390,7 @@ class TestAdmission:
         """offered == completed + failed + shed, even under faults."""
         bed = testbed
         service = _service(bed, classes=_tiny_classes(queue_depth=16),
-                           workers=1, admit_after=10_000)
+                           workers=1)
         service.register("t", "only")
         service.start()
         # An unverifiable program (uninitialized register) fails the
@@ -505,7 +495,7 @@ class TestServeSegment:
 
     def test_scrape_matches_service_truth(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         assert service.segment is not None
         snapshot = bed.sim.run_process(
@@ -521,7 +511,7 @@ class TestServeSegment:
 
     def test_scrape_consumes_no_control_cpu(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         cpu = bed.control.host.cpu
         before = (cpu.busy_us, cpu.tasks_run)
@@ -533,7 +523,7 @@ class TestServeSegment:
 
     def test_torn_scrape_retries_then_accepts(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         segment = service.segment
         sim = bed.sim
@@ -553,7 +543,7 @@ class TestServeSegment:
 
     def test_exhausted_retries_raise(self, testbed):
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         service.segment.begin_update()  # bracket held open forever
         with pytest.raises(ReproError):
@@ -578,7 +568,7 @@ class TestServeSegment:
     def test_per_class_series_stay_bounded(self, testbed):
         """1000 tenants, O(classes) label values on serve metrics."""
         bed = testbed
-        service = _service(bed, admit_after=1)
+        service = _service(bed)
         self._run_some_traffic(bed, service)
         labels = {
             tuple(sorted(row["labels"].items()))
